@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 from .denoiser import (DenoiserConfig, DenoiserModel, assemble_input,
                        denoise_parallel, denoise_series, init_denoiser,
                        param_count, param_shapes, positional_encoding)
-from .diffusion import (DiffusionState, NoiseSchedule, batch_noise_loss,
-                        build_schedule, forward_noise, loss, mu_theta,
-                        reverse_step, sample_deterministic, sample_stochastic)
+from .diffusion import (NoiseSchedule, batch_noise_loss, build_schedule,
+                        forward_noise, loss, mu_theta, reverse_step,
+                        sample_deterministic, sample_stochastic)
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      NumericsError, ParseError, SamplingDivergedError,
                      TrainingDivergedError, UndefinedMetricError)

@@ -15,6 +15,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import ctypes.util
 import json
 import os
 import sys
@@ -40,6 +42,12 @@ BUILD_ID = f"motion-diffusion/{__version__}"
 
 # (key, type, default, help); required keys use the REQUIRED sentinel
 REQUIRED = object()
+
+# glibc mallopt parameters (malloc.h) and the values the CLI pins
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 256 << 20
 
 _SPLIT_KEYS = [
     ("t_obs", int, 16, "observed frames per task"),
@@ -480,7 +488,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process.
+
+    glibc raises both thresholds by itself after freeing a large block,
+    so whether a denoiser call's large temporaries reuse heap memory or
+    fault in fresh pages used to depend on what the process allocated
+    earlier.  Pinned, blocks up to 32 MiB come from the heap and the heap
+    keeps up to 256 MiB free instead of shrinking after every call.
+    Only the command-line entry point calls this: importing the library
+    leaves the host's allocator alone.  Without glibc's `mallopt` it
+    does nothing.
+    """
+    path = ctypes.util.find_library("c")
+    if path is None:
+        return
+    try:
+        mallopt = ctypes.CDLL(path).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc_thresholds()
     try:
         args = build_parser().parse_args(argv)
         resolved = resolve_config(args.command, args)

@@ -208,28 +208,18 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 
 def _attention(x, leaves, prefix: str, n_heads: int):
     """Pre-norm multi-head self-attention block on (M, S, C) tokens."""
-    m, s, c = x.data.shape
-    hd = c // n_heads
     h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
-
-    def heads(t):
-        t = nm.reshape(t, (m, s, n_heads, hd))
-        return nm.transpose(t, (0, 2, 1, 3))
-
-    q = heads(nm.add(nm.matmul(h, leaves[f"{prefix}.wq"]), leaves[f"{prefix}.bq"]))
-    k = heads(nm.add(nm.matmul(h, leaves[f"{prefix}.wk"]), leaves[f"{prefix}.bk"]))
-    v = heads(nm.add(nm.matmul(h, leaves[f"{prefix}.wv"]), leaves[f"{prefix}.bv"]))
-    scores = nm.scale(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    ctx = nm.matmul(nm.softmax_rows(scores), v)
-    ctx = nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, s, c))
-    out = nm.add(nm.matmul(ctx, leaves[f"{prefix}.wo"]), leaves[f"{prefix}.bo"])
-    return nm.add(x, out)
+    q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
+    k = nm.linear(h, leaves[f"{prefix}.wk"], leaves[f"{prefix}.bk"])
+    v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
+    ctx = nm.attention(q, k, v, n_heads)
+    return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
 
 
 def _feedforward(x, leaves, prefix: str):
     h = nm.layer_norm(x, leaves[f"{prefix}.ln2_g"], leaves[f"{prefix}.ln2_b"])
-    h = nm.relu(nm.add(nm.matmul(h, leaves[f"{prefix}.ff1_w"]), leaves[f"{prefix}.ff1_b"]))
-    h = nm.add(nm.matmul(h, leaves[f"{prefix}.ff2_w"]), leaves[f"{prefix}.ff2_b"])
+    h = nm.relu(nm.linear(h, leaves[f"{prefix}.ff1_w"], leaves[f"{prefix}.ff1_b"]))
+    h = nm.linear(h, leaves[f"{prefix}.ff2_w"], leaves[f"{prefix}.ff2_b"])
     return nm.add(x, h)
 
 
@@ -251,10 +241,6 @@ def _temporal_layer(feat, leaves, n_heads: int):
     tokens = nm.reshape(nm.transpose(feat, (0, 2, 1, 3)), (b * d, s, c))
     tokens = _encoder_layer(tokens, leaves, "temp", n_heads)
     return nm.transpose(nm.reshape(tokens, (b, d, s, c)), (0, 2, 1, 3))
-
-
-def _project_out(feat, leaves, w_name: str, b_name: str):
-    return nm.add(nm.matmul(feat, leaves[w_name]), leaves[b_name])
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
@@ -285,14 +271,14 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
     if cfg.variant == "series":
         feat = _spatial_layer(feat, leaves, cfg.n_heads)
         feat = _temporal_layer(feat, leaves, cfg.n_heads)
-        y = _project_out(feat, leaves, "out_w", "out_b")          # (B, S, D, 1)
+        y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, S, D, 1)
     else:
-        ya = _project_out(_spatial_layer(feat, leaves, cfg.n_heads),
-                          leaves, "out_s_w", "out_s_b")
-        yb = _project_out(_temporal_layer(feat, leaves, cfg.n_heads),
-                          leaves, "out_t_w", "out_t_b")
+        ya = nm.linear(_spatial_layer(feat, leaves, cfg.n_heads),
+                       leaves["out_s_w"], leaves["out_s_b"])
+        yb = nm.linear(_temporal_layer(feat, leaves, cfg.n_heads),
+                       leaves["out_t_w"], leaves["out_t_b"])
         stacked = nm.concat([ya, yb], axis=-1)                    # (B, S, D, 2)
-        y = nm.add(nm.matmul(stacked, leaves["fuse_w"]), leaves["fuse_b"])
+        y = nm.linear(stacked, leaves["fuse_w"], leaves["fuse_b"])
 
     tail = nm.narrow(y, axis=1, start=t, length=l)                # (B, L, D, 1)
     return nm.reshape(tail, (b, l, d))

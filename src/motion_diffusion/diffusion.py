@@ -90,18 +90,6 @@ def _validate_schedule(s: NoiseSchedule) -> None:
         raise ConfigError("sigma^2(1) must be exactly zero")
 
 
-@dataclass(frozen=True, eq=False)
-class DiffusionState:
-    """A partially noised future motion at diffusion step k."""
-
-    x: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ContractError(f"diffusion step k={self.k} must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # forward / reverse processes
 # ---------------------------------------------------------------------------

@@ -115,6 +115,20 @@ def check_ops(seed: int = 0, points: int = 10,
                lambda t: nm.sum_all(nm.mul(nm.matmul(t["a"], t["b"]), wb)),
                {"a": bm1, "b": bm2})
 
+        lx = rng.normal(size=(2, 3, 4))
+        lw = rng.normal(size=(4, 5))
+        lb = rng.normal(size=(5,))
+        wl = rng.normal(size=(2, 3, 5))
+        record("linear",
+               lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"], t["b"]), wl)),
+               {"x": lx, "w": lw, "b": lb})
+        # two heads of width 2 over 3 tokens
+        qkv = {name: rng.normal(size=(2, 3, 4)) for name in ("q", "k", "v")}
+        wa = rng.normal(size=(2, 3, 4))
+        record("attention",
+               lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wa)),
+               qkv)
+
         record("relu", lambda t: nm.sum_all(nm.mul(nm.relu(t["a"]), w)),
                {"a": a + 0.05})  # nudge off the kink where FD is invalid
         record("softmax_rows",

@@ -175,6 +175,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(g)
 
 
+def _softmax_inplace(x):
+    """Softmax over the last axis with max-subtraction, overwriting x."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _heads(a, n_heads):
+    """(M, S, C) -> (M, H, S, C/H) strided view of the per-head channel slices."""
+    m, s, c = a.shape
+    return a.reshape(m, s, n_heads, c // n_heads).transpose(0, 2, 1, 3)
+
+
 # Backward kernels live at module level so diagnostics (and the
 # gradcheck negative control) can intercept them.
 
@@ -189,6 +203,30 @@ def _matmul_backward_b(g, a):
 
 def _softmax_backward(g, y):
     return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+
+def _linear_backward_x(g2, w):
+    return g2 @ w.T
+
+
+def _linear_backward_w(g2, x2):
+    return x2.T @ g2
+
+
+def _attention_backward(g, q, k, v, p, n_heads, factor):
+    """Gradients of `attention` wrt q, k and v, each (M, S, C).
+
+    `p` holds the forward's softmax probabilities, (M, H, S, S); every
+    head-gradient product writes straight into its (M, S, C) buffer.
+    """
+    gh = _heads(g, n_heads)
+    gq, gk, gv = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+    np.matmul(np.swapaxes(p, -1, -2), gh, out=_heads(gv, n_heads))
+    gs = _softmax_backward(np.matmul(gh, np.swapaxes(_heads(v, n_heads), -1, -2)), p)
+    gs *= factor
+    np.matmul(gs, _heads(k, n_heads), out=_heads(gq, n_heads))
+    np.matmul(np.swapaxes(gs, -1, -2), _heads(q, n_heads), out=_heads(gk, n_heads))
+    return gq, gk, gv
 
 
 def _relu_backward(g, x):
@@ -285,6 +323,71 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", out, [a, b], make)
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map of the last axis: x @ w + b for x (..., C), w (C, N), b (N,).
+
+    The leading axes are flattened, so the forward is one 2-D GEMM and
+    each matrix gradient is one GEMM over all rows: dL/dx = g @ w^T and
+    dL/dw = x^T @ g; dL/db is the column sums of g.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionError(
+            f"linear needs x (..., C) and w (C, N), got {x.data.shape} and {w.data.shape}")
+    c, n = w.data.shape
+    if b.data.shape != (n,):
+        raise DimensionError(f"linear bias must have shape ({n},), got {b.data.shape}")
+    xsh = x.data.shape
+    x2, wd = x.data.reshape(-1, c), w.data
+    out = x2 @ wd
+    out += b.data
+
+    def make(need):
+        def pull(g):
+            g2 = g.reshape(-1, n)
+            return (_linear_backward_x(g2, wd).reshape(xsh) if need[0] else None,
+                    _linear_backward_w(g2, x2) if need[1] else None,
+                    g2.sum(axis=0) if need[2] else None)
+        return pull
+
+    return _emit("linear", out.reshape(*xsh[:-1], n), [x, w, b], make)
+
+
+def attention(q, k, v, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention on (M, S, C) tokens.
+
+    Head h attends with channel slice h of width hd = C / n_heads:
+    softmax(q_h k_h^T / sqrt(hd)) v_h, bidirectional (no mask).  Heads
+    are strided views of the inputs, never copies, and each head's
+    context is written straight into the (M, S, C) output.  The pullback
+    reuses the kept probabilities.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    shape = q.data.shape
+    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+        raise DimensionError(
+            f"attention needs three (M, S, C) arrays of one shape, got "
+            f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
+    if n_heads < 1 or shape[-1] % n_heads:
+        raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")
+    factor = 1.0 / np.sqrt(shape[-1] // n_heads)
+    qd, kd, vd = q.data, k.data, v.data
+    scores = np.matmul(_heads(qd, n_heads), np.swapaxes(_heads(kd, n_heads), -1, -2))
+    scores *= factor
+    if not np.all(np.isfinite(scores)):
+        raise NumericsError("op 'attention' produced a non-finite score")
+    p = _softmax_inplace(scores)
+    out = np.empty(shape)
+    np.matmul(p, _heads(vd, n_heads), out=_heads(out, n_heads))
+
+    def make(need):
+        def pull(g):
+            return _attention_backward(g, qd, kd, vd, p, n_heads, factor)
+        return pull
+
+    return _emit("attention", out, [q, k, v], make)
+
+
 def relu(a) -> Tensor:
     a = _coerce(a)
     out = np.maximum(a.data, 0.0)
@@ -305,9 +408,7 @@ def softmax_rows(a) -> Tensor:
     nonnegative and sums to 1.
     """
     a = _coerce(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_inplace(a.data.copy())
 
     def make(need):
         def pull(g):

@@ -168,6 +168,10 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     else:
         if start.denoiser_config != den_cfg:
             raise ConfigError("checkpoint denoiser config does not match")
+        if start.iteration > tr_cfg.iterations:
+            raise ConfigError(
+                f"checkpoint is at iteration {start.iteration}, past the target "
+                f"of {tr_cfg.iterations} iterations")
         model = start.build_model()
         m = {k: a.copy() for k, a in start.adam_m.items()}
         v = {k: a.copy() for k, a in start.adam_v.items()}

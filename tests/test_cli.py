@@ -2,6 +2,8 @@
 determinism contracts, and exit codes."""
 
 import csv
+import ctypes
+import ctypes.util
 import glob
 import json
 import os
@@ -174,6 +176,14 @@ class TestTrainCmd:
         half = train_to(tmp_path / "half", 12)
         cont = train_to(tmp_path / "cont", 24, resume=half)
         assert open(cont, "rb").read() == open(full, "rb").read()
+
+    def test_resume_past_target_exits_2(self, tmp_path, dataset, checkpoint, capsys):
+        # the fixture checkpoint is at iteration 30; a 10-iteration target
+        # would hand back iteration-30 weights labelled iteration 10
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
+                     "--iterations", "10", "--seed", "4", *TRAIN_ARGS,
+                     "--resume", checkpoint]) == 2
+        assert "past the target" in capsys.readouterr().err
 
     def test_divergence_exits_1_with_last_good_checkpoint(self, tmp_path,
                                                           dataset, capsys):
@@ -380,6 +390,7 @@ class TestGradcheckCmd:
                                  "gradcheck.txt")).read()
         assert "PASS" in text and "FAIL" not in text
         assert "matmul" in text and "layer_norm" in text
+        assert "linear" in text and "attention" in text
         assert "series" in text and "parallel" in text
         assert "PASS" in capsys.readouterr().out
 
@@ -391,6 +402,37 @@ class TestGradcheckCmd:
                             lambda g, b: true_kernel(g, b) * 1.01)
         assert main(["gradcheck", "--out", str(tmp_path / "g"),
                      "--probes", "1"]) == 1
+
+    @pytest.mark.parametrize("kernel", ["_linear_backward_x", "_linear_backward_w",
+                                        "_attention_backward"])
+    def test_corrupted_fused_pullback_detected(self, tmp_path, monkeypatch, kernel):
+        # the same negative control for each backward kernel of the fused
+        # ops the denoiser runs; the attention kernel returns (gq, gk, gv)
+        true_kernel = getattr(nm, kernel)
+
+        def corrupted(*args):
+            out = true_kernel(*args)
+            if isinstance(out, tuple):
+                return tuple(g * 1.01 for g in out)
+            return out * 1.01
+
+        monkeypatch.setattr(nm, kernel, corrupted)
+        assert main(["gradcheck", "--out", str(tmp_path / "g"),
+                     "--probes", "1"]) == 1
+
+
+class TestAllocatorPin:
+    def test_main_runs_without_libc(self, tmp_path, monkeypatch):
+        # where no C library can be found the pin is skipped silently
+        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "2",
+                     "--n-sequences", "1", "--frames", "10"]) == 0
+
+    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch):
+        # a C library without glibc's mallopt (musl, macOS) is skipped too
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "2",
+                     "--n-sequences", "1", "--frames", "10"]) == 0
 
 
 class TestExportCmd:

@@ -89,6 +89,95 @@ class TestSoftmax:
         assert relative_error(jvp, fd) < 1e-6
 
 
+def composed_linear(x, w, b):
+    return nm.add(nm.matmul(x, w), b)
+
+
+def composed_attention(q, k, v, n_heads):
+    m, s, c = q.data.shape
+    hd = c // n_heads
+
+    def heads(t):
+        return nm.transpose(nm.reshape(t, (m, s, n_heads, hd)), (0, 2, 1, 3))
+
+    scores = nm.scale(nm.matmul(heads(q), nm.transpose(heads(k), (0, 1, 3, 2))),
+                      1.0 / np.sqrt(hd))
+    ctx = nm.matmul(nm.softmax_rows(scores), heads(v))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, s, c))
+
+
+def value_and_grads(op, arrays, weight):
+    tape = nm.Tape()
+    leaves = {k: tape.param(v) for k, v in arrays.items()}
+    out = op(leaves)
+    return out.data, tape.gradients(nm.sum_all(nm.mul(out, weight)), leaves)
+
+
+# denoiser token shapes for one task with N=1 and N=50 samples: S=9 frames,
+# D=6 pose parameters, C=8 channels in 2 heads
+ORACLE_S, ORACLE_D, ORACLE_C = 9, 6, 8
+
+
+class TestFusedOpsMatchComposition:
+    """`linear` and `attention` against the primitive ops they replace."""
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_linear(self, rng, n):
+        arrays = {"x": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C)),
+                  "w": rng.normal(size=(ORACLE_C, 3 * ORACLE_C)),
+                  "b": rng.normal(size=(3 * ORACLE_C,))}
+        weight = rng.normal(size=(n, ORACLE_S, ORACLE_D, 3 * ORACLE_C))
+        fused = value_and_grads(lambda t: nm.linear(t["x"], t["w"], t["b"]),
+                                arrays, weight)
+        composed = value_and_grads(lambda t: composed_linear(t["x"], t["w"], t["b"]),
+                                   arrays, weight)
+        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(fused[1][name], composed[1][name],
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("layer", ["spatial", "temporal"])
+    def test_attention(self, rng, n, layer):
+        m, s = ((n * ORACLE_S, ORACLE_D) if layer == "spatial"
+                else (n * ORACLE_D, ORACLE_S))
+        arrays = {name: rng.normal(size=(m, s, ORACLE_C)) for name in "qkv"}
+        weight = rng.normal(size=(m, s, ORACLE_C))
+        fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
+                                arrays, weight)
+        composed = value_and_grads(
+            lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
+        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+        for name in arrays:
+            np.testing.assert_allclose(fused[1][name], composed[1][name],
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_one_head_is_plain_softmax_attention(self, rng):
+        q, k, v = (rng.normal(size=(1, 4, 3)) for _ in range(3))
+        scores = q[0] @ k[0].T / np.sqrt(3)
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        out = nm.attention(nm.constant(q), nm.constant(k), nm.constant(v), 1).data
+        np.testing.assert_allclose(out[0], p @ v[0], rtol=1e-12, atol=1e-15)
+
+    def test_linear_shape_errors(self):
+        with pytest.raises(DimensionError):
+            nm.linear(np.ones((2, 3)), np.ones((4, 5)), np.ones(5))
+        with pytest.raises(DimensionError):
+            nm.linear(np.ones((2, 4)), np.ones((4, 5)), np.ones(4))
+
+    def test_attention_shape_errors(self):
+        with pytest.raises(DimensionError):
+            nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 4, 4)), 2)
+        with pytest.raises(DimensionError):
+            nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 4)), 3)
+
+    def test_attention_non_finite_score_rejected(self):
+        big = np.full((1, 2, 2), 1e200)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            nm.attention(big, big, big, 1)
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         out = nm.layer_norm(nm.constant([[5.0, 5.0, 5.0]]),

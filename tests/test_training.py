@@ -174,6 +174,21 @@ class TestTrainLoop:
             np.testing.assert_array_equal(cont.checkpoint.adam_v[name],
                                           full.checkpoint.adam_v[name])
 
+    def test_resume_past_target_rejected(self):
+        ten, cfg, tr, tasks = quick_train(iterations=10, seed=5)
+        tr5 = TrainConfig(**{**tr.to_dict(), "iterations": 5})
+        with pytest.raises(ConfigError, match="past the target"):
+            md.train(tasks, cfg, tr5, toy_sched(cfg), start=ten.checkpoint)
+
+    def test_resume_at_target_returns_checkpoint_unchanged(self):
+        ten, cfg, tr, tasks = quick_train(iterations=10, seed=5)
+        again = md.train(tasks, cfg, tr, toy_sched(cfg), start=ten.checkpoint)
+        assert again.losses == []
+        assert again.checkpoint.iteration == 10
+        for name in ten.model.params:
+            np.testing.assert_array_equal(again.model.params[name],
+                                          ten.model.params[name])
+
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_every_tensor_gets_gradient_signal(self, variant):
         cfg = toy_den_cfg(variant)
