@@ -33,9 +33,9 @@ from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
 from .gradcheck import run_suite
 from .metrics import SampleSet, compute_report, write_report_csv
 from .motion_data import (MotionSequence, Normalizer, fit_normalizer,
-                          load_dataset, load_motion_file, save_manifest,
-                          save_motion_file, split_sequences, synth_dataset,
-                          window_split)
+                          load_dataset, load_motion_file, read_json,
+                          save_manifest, save_motion_file, split_sequences,
+                          synth_dataset, window_split)
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 BUILD_ID = f"motion-diffusion/{__version__}"
@@ -381,11 +381,29 @@ def cmd_sample(cfg: dict) -> int:
     return 0
 
 
+SAMPLES_MANIFEST_KEYS = {"mode": str, "fps": (int, float), "representation": str,
+                         "tasks": list}
+SAMPLES_TASK_KEYS = {"index": int, "dir": str, "files": list}
+
+
+def _has_fields(obj, fields: dict) -> bool:
+    return isinstance(obj, dict) and all(isinstance(obj.get(k), t)
+                                         for k, t in fields.items())
+
+
 def _load_samples_manifest(path: str) -> tuple[dict, str]:
+    """Read a sample run's manifest; a malformed one is a ParseError."""
     if os.path.isdir(path):
         path = os.path.join(path, "samples_manifest.json")
-    with open(path) as fh:
-        return json.load(fh), os.path.dirname(os.path.abspath(path))
+    manifest = read_json(path, "samples manifest")
+    if not (_has_fields(manifest, SAMPLES_MANIFEST_KEYS)
+            and all(_has_fields(e, SAMPLES_TASK_KEYS) and e["files"]
+                    and all(isinstance(name, str) for name in e["files"])
+                    for e in manifest["tasks"])):
+        raise ParseError(f"{path}: samples manifest needs "
+                         f"{sorted(SAMPLES_MANIFEST_KEYS)} and task entries with "
+                         f"{sorted(SAMPLES_TASK_KEYS)}", offset=0)
+    return manifest, os.path.dirname(os.path.abspath(path))
 
 
 def cmd_eval(cfg: dict) -> int:

@@ -11,6 +11,14 @@ with a learned per-position 2 -> 1 kernel.
 Attention is bidirectional everywhere: no causal mask.  Spatial
 attention treats the D scalar pose parameters as tokens (time folded
 into the batch); temporal attention treats the T+L frames as tokens.
+
+Noise is predicted for the L future frames only.  The T observed frames
+are keys and values of temporal attention and nothing else: its queries,
+output projection and feedforward, and the readout, run on the future
+rows.  The series variant runs its spatial layer on all frames,
+because the temporal keys and values of the observed frames are read
+from it; the parallel variant runs its spatial branch on the future
+frames alone.
 """
 
 from __future__ import annotations
@@ -206,12 +214,20 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _attention(x, leaves, prefix: str, n_heads: int):
-    """Pre-norm multi-head self-attention block on (M, S, C) tokens."""
+def _attention(x, leaves, prefix: str, n_heads: int, start: int = 0):
+    """Pre-norm multi-head attention block on (M, S, C) tokens.
+
+    Every token is a key and a value; only tokens `start..S` are queries,
+    and only their (M, S - start, C) rows are returned.
+    """
     h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
-    q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
     k = nm.linear(h, leaves[f"{prefix}.wk"], leaves[f"{prefix}.bk"])
     v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
+    if start:
+        rows = x.data.shape[1] - start
+        h = nm.narrow(h, axis=1, start=start, length=rows)
+        x = nm.narrow(x, axis=1, start=start, length=rows)
+    q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
     ctx = nm.attention(q, k, v, n_heads)
     return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
 
@@ -223,8 +239,10 @@ def _feedforward(x, leaves, prefix: str):
     return nm.add(x, h)
 
 
-def _encoder_layer(tokens, leaves, prefix: str, n_heads: int):
-    return _feedforward(_attention(tokens, leaves, prefix, n_heads), leaves, prefix)
+def _encoder_layer(tokens, leaves, prefix: str, n_heads: int, start: int = 0):
+    """Attention then feedforward; returns the rows of tokens `start..S`."""
+    return _feedforward(_attention(tokens, leaves, prefix, n_heads, start),
+                        leaves, prefix)
 
 
 def _spatial_layer(feat, leaves, n_heads: int):
@@ -235,12 +253,16 @@ def _spatial_layer(feat, leaves, n_heads: int):
     return nm.reshape(tokens, (b, s, d, c))
 
 
-def _temporal_layer(feat, leaves, n_heads: int):
-    """Attend across the T+L frames; pose parameters ride the batch axis."""
+def _temporal_layer(feat, leaves, n_heads: int, start: int):
+    """Attend across the frames; pose parameters ride the batch axis.
+
+    All S frames are keys and values; frames `start..S` are the queries,
+    so the result is (B, S - start, D, C).
+    """
     b, s, d, c = feat.data.shape
     tokens = nm.reshape(nm.transpose(feat, (0, 2, 1, 3)), (b * d, s, c))
-    tokens = _encoder_layer(tokens, leaves, "temp", n_heads)
-    return nm.transpose(nm.reshape(tokens, (b, d, s, c)), (0, 2, 1, 3))
+    tokens = _encoder_layer(tokens, leaves, "temp", n_heads, start)
+    return nm.transpose(nm.reshape(tokens, (b, d, s - start, c)), (0, 2, 1, 3))
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
@@ -270,18 +292,18 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
 
     if cfg.variant == "series":
         feat = _spatial_layer(feat, leaves, cfg.n_heads)
-        feat = _temporal_layer(feat, leaves, cfg.n_heads)
-        y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, S, D, 1)
+        feat = _temporal_layer(feat, leaves, cfg.n_heads, start=t)
+        y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, L, D, 1)
     else:
-        ya = nm.linear(_spatial_layer(feat, leaves, cfg.n_heads),
+        future = nm.narrow(feat, axis=1, start=t, length=l)
+        ya = nm.linear(_spatial_layer(future, leaves, cfg.n_heads),
                        leaves["out_s_w"], leaves["out_s_b"])
-        yb = nm.linear(_temporal_layer(feat, leaves, cfg.n_heads),
+        yb = nm.linear(_temporal_layer(feat, leaves, cfg.n_heads, start=t),
                        leaves["out_t_w"], leaves["out_t_b"])
-        stacked = nm.concat([ya, yb], axis=-1)                    # (B, S, D, 2)
+        stacked = nm.concat([ya, yb], axis=-1)                    # (B, L, D, 2)
         y = nm.linear(stacked, leaves["fuse_w"], leaves["fuse_b"])
 
-    tail = nm.narrow(y, axis=1, start=t, length=l)                # (B, L, D, 1)
-    return nm.reshape(tail, (b, l, d))
+    return nm.reshape(y, (b, l, d))
 
 
 def _denoise_single(model: DenoiserModel, p_obs: np.ndarray, p_k: np.ndarray,

@@ -126,6 +126,9 @@ def reverse_step(x_k: np.ndarray, k: int, eps_hat: np.ndarray,
                  z: np.ndarray | None, sched: NoiseSchedule) -> np.ndarray:
     """One reverse transition: mu_theta plus sigma(k)-scaled noise.
 
+    Shape-agnostic: x_k, eps_hat and z may be one (L, D) state or a
+    batch (N, L, D); the sampler calls it on the whole batch.
+
     At k = 1 the variance is exactly zero, so z is ignored entirely
     (avoids any 0 * non-finite hazard).
     """
@@ -209,12 +212,10 @@ def _reverse_loop(model, p_obs: np.ndarray, x: np.ndarray,
         eps_hat = model.eval_batch(obs, x, ks)
         if not np.all(np.isfinite(eps_hat)):
             raise SamplingDivergedError("denoiser output is non-finite", step=k)
-        mean = mu_theta(x, k, eps_hat, sched)
+        z = None
         if k > 1 and streams is not None:
             z = np.stack([st.standard_normal(x.shape[1:]) for st in streams])
-            x = mean + sched.sigma(k) * z
-        else:
-            x = mean
+        x = reverse_step(x, k, eps_hat, z, sched)
         if not np.all(np.isfinite(x)):
             raise SamplingDivergedError("reverse state is non-finite", step=k)
     return x

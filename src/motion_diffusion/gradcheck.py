@@ -128,6 +128,13 @@ def check_ops(seed: int = 0, points: int = 10,
         record("attention",
                lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wa)),
                qkv)
+        # two queries over three keys, as the temporal layer's future rows
+        cross = {"q": rng.normal(size=(2, 2, 4)), "k": rng.normal(size=(2, 3, 4)),
+                 "v": rng.normal(size=(2, 3, 4))}
+        wx = rng.normal(size=(2, 2, 4))
+        record("attention_cross",
+               lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wx)),
+               cross)
 
         record("relu", lambda t: nm.sum_all(nm.mul(nm.relu(t["a"]), w)),
                {"a": a + 0.05})  # nudge off the kink where FD is invalid

@@ -306,9 +306,20 @@ def save_manifest(path: str, file_paths: list[str]) -> None:
         fh.write("\n")
 
 
+def read_json(path, what: str):
+    """Parse a JSON file; invalid UTF-8 or JSON is a ParseError."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8", offset=exc.start) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+
+
 def load_manifest(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = json.load(fh)
+    entries = read_json(path, "manifest")
     if not isinstance(entries, list) or not all(isinstance(p, str) for p in entries):
         raise ParseError("manifest must be a JSON list of file paths", offset=0)
     base = os.path.dirname(os.path.abspath(path))

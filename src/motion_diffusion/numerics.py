@@ -214,13 +214,14 @@ def _linear_backward_w(g2, x2):
 
 
 def _attention_backward(g, q, k, v, p, n_heads, factor):
-    """Gradients of `attention` wrt q, k and v, each (M, S, C).
+    """Gradients of `attention` wrt q (M, Sq, C) and k, v (M, S, C).
 
-    `p` holds the forward's softmax probabilities, (M, H, S, S); every
-    head-gradient product writes straight into its (M, S, C) buffer.
+    `p` holds the forward's softmax probabilities, (M, H, Sq, S); every
+    head-gradient product writes straight into its buffer, which has the
+    shape of the input it belongs to.
     """
     gh = _heads(g, n_heads)
-    gq, gk, gv = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+    gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
     np.matmul(np.swapaxes(p, -1, -2), gh, out=_heads(gv, n_heads))
     gs = _softmax_backward(np.matmul(gh, np.swapaxes(_heads(v, n_heads), -1, -2)), p)
     gs *= factor
@@ -329,6 +330,11 @@ def linear(x, w, b) -> Tensor:
     The leading axes are flattened, so the forward is one 2-D GEMM and
     each matrix gradient is one GEMM over all rows: dL/dx = g @ w^T and
     dL/dw = x^T @ g; dL/db is the column sums of g.
+
+    With one output column (N = 1) the forward is a row-wise reduction
+    instead: numpy hands such a product to gemv, whose bits for a row
+    depend on how many rows come with it, and a row's value must not
+    depend on the batch (sample 0 is the same for any sample count).
     """
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
@@ -339,7 +345,7 @@ def linear(x, w, b) -> Tensor:
         raise DimensionError(f"linear bias must have shape ({n},), got {b.data.shape}")
     xsh = x.data.shape
     x2, wd = x.data.reshape(-1, c), w.data
-    out = x2 @ wd
+    out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True) if n == 1 else x2 @ wd
     out += b.data
 
     def make(need):
@@ -354,19 +360,22 @@ def linear(x, w, b) -> Tensor:
 
 
 def attention(q, k, v, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention on (M, S, C) tokens.
+    """Multi-head scaled dot-product attention of Sq queries over S keys.
 
+    q is (M, Sq, C); k and v are (M, S, C); the output is (M, Sq, C).
     Head h attends with channel slice h of width hd = C / n_heads:
     softmax(q_h k_h^T / sqrt(hd)) v_h, bidirectional (no mask).  Heads
     are strided views of the inputs, never copies, and each head's
-    context is written straight into the (M, S, C) output.  The pullback
-    reuses the kept probabilities.
+    context is written straight into the output.  The pullback reuses
+    the kept probabilities.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape = q.data.shape
-    if len(shape) != 3 or k.data.shape != shape or v.data.shape != shape:
+    kshape = k.data.shape
+    if (len(shape) != 3 or len(kshape) != 3 or v.data.shape != kshape
+            or shape[0] != kshape[0] or shape[2] != kshape[2]):
         raise DimensionError(
-            f"attention needs three (M, S, C) arrays of one shape, got "
+            f"attention needs q (M, Sq, C) and k, v (M, S, C), got "
             f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
     if n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")

@@ -258,7 +258,29 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(raw)
 
 
+def _int_field(value, what: str) -> int:
+    # bool is an int subclass; a manifest never stores one as a count
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise IntegrityError(f"checkpoint {what} must be a non-negative integer, "
+                             f"got {value!r}")
+    return value
+
+
+def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
+    """Validate one tensor index entry: (name, shape, offset, crc32)."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise IntegrityError(f"malformed checkpoint tensor entry {entry!r}")
+    name = entry["name"]
+    shape = entry.get("shape")
+    if not isinstance(shape, list):
+        raise IntegrityError(f"tensor {name!r} has no shape list")
+    shape = tuple(_int_field(n, f"tensor {name!r} extent") for n in shape)
+    return (name, shape, _int_field(entry.get("offset"), f"tensor {name!r} offset"),
+            _int_field(entry.get("crc32"), f"tensor {name!r} crc32"))
+
+
 def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Checkpoint:
+    """Read a CKPT1 file; any malformed manifest or payload is an IntegrityError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -268,24 +290,35 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
         manifest = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"checkpoint manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IntegrityError("checkpoint manifest is not a JSON object")
     if manifest.get("version") != CKPT_VERSION:
         raise IntegrityError(
             f"unsupported checkpoint version {manifest.get('version')!r}")
-    den_cfg = DenoiserConfig(**manifest["denoiser_config"])
+    try:
+        den_cfg = DenoiserConfig(**manifest["denoiser_config"])
+        sched = build_schedule(**manifest["schedule"])
+        entries = manifest["tensors"]
+        has_normalizer = manifest["normalizer"]
+        iteration = manifest["iteration"]
+        rng_state = manifest["rng_state"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"checkpoint manifest is malformed: {exc!r}") from exc
     if expect_denoiser is not None and den_cfg != expect_denoiser:
         raise ConfigError("checkpoint denoiser config does not match the expected one")
-    sched = build_schedule(**manifest["schedule"])
+    if not isinstance(entries, list):
+        raise IntegrityError("checkpoint tensor index is not a list")
+    iteration = _int_field(iteration, "iteration")
     payload = blob[nl + 1:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape, offset, crc in map(_tensor_entry, entries):
         size = int(np.prod(shape, dtype=np.int64)) * 8
-        raw = payload[entry["offset"]:entry["offset"] + size]
+        raw = payload[offset:offset + size]
         if len(raw) != size:
-            raise IntegrityError(f"tensor {entry['name']!r} is truncated")
-        if zlib.crc32(raw) != entry["crc32"]:
-            raise IntegrityError(f"tensor {entry['name']!r} failed its checksum")
-        tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raise IntegrityError(f"tensor {name!r} is truncated")
+        if zlib.crc32(raw) != crc:
+            raise IntegrityError(f"tensor {name!r} failed its checksum")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
     expected = param_shapes(den_cfg)
     params, m_mom, v_mom = {}, {}, {}
@@ -296,11 +329,10 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
                 raise IntegrityError(f"checkpoint is missing tensor {key!r}")
             dest[name] = tensors[key]
     normalizer = None
-    if manifest["normalizer"]:
+    if has_normalizer:
         if "norm.mean" not in tensors or "norm.std" not in tensors:
             raise IntegrityError("checkpoint is missing normalizer tensors")
         normalizer = Normalizer(mean=tensors["norm.mean"], std=tensors["norm.std"])
     return Checkpoint(version=CKPT_VERSION, denoiser_config=den_cfg, schedule=sched,
                       normalizer=normalizer, params=params, adam_m=m_mom,
-                      adam_v=v_mom, iteration=int(manifest["iteration"]),
-                      rng_state=manifest["rng_state"])
+                      adam_v=v_mom, iteration=iteration, rng_state=rng_state)

@@ -270,6 +270,29 @@ class TestSampleCmd:
                      *WINDOW_ARGS]) == 1
 
 
+    def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, checkpoint,
+                                                   dataset):
+        blob = open(checkpoint, "rb").read()
+        nl = blob.index(b"\n")
+        manifest = json.loads(blob[:nl])
+        del manifest["tensors"]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        assert main(["sample", "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(bad), "--data", dataset,
+                     *WINDOW_ARGS]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_dataset_manifest_not_json_exits_2(self, tmp_path, checkpoint,
+                                               command):
+        bad = tmp_path / "manifest.json"
+        bad.write_text('["seq_000.mseq",')
+        args = (["--iterations", "1", *TRAIN_ARGS] if command == "train"
+                else ["--checkpoint", checkpoint, *WINDOW_ARGS])
+        assert main([command, "--out", str(tmp_path / "o"),
+                     "--data", str(bad), *args]) == 2
+
+
 def build_sample_run(path, task_samples, gt_list, mode="stochastic", fps=25.0):
     """Hand-build a sample run directory the eval command can consume."""
     os.makedirs(path)
@@ -295,6 +318,14 @@ def build_sample_run(path, task_samples, gt_list, mode="stochastic", fps=25.0):
                    "fps": fps, "representation": "euler",
                    "l_pred": gt_list[0].shape[0], "dim": gt_list[0].shape[1],
                    "tasks": entries}, fh)
+
+
+def rewrite_json(path, mutate):
+    with open(path) as fh:
+        obj = json.load(fh)
+    mutate(obj)
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
 
 
 class TestEvalCmd:
@@ -360,6 +391,31 @@ class TestEvalCmd:
         assert main(["eval", "--out", str(tmp_path / "e"), "--samples",
                      str(tmp_path / "d")]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.write_text('{"mode": "stochastic", '),
+        lambda path: path.write_bytes(b"\xff\xfe{}"),
+        lambda path: path.write_text("[]"),
+        lambda path: rewrite_json(path, lambda m: m.pop("mode")),
+        lambda path: rewrite_json(path, lambda m: m.pop("tasks")),
+        lambda path: rewrite_json(path, lambda m: m.update(tasks={"0": {}})),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].pop("files")),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(files=[])),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(dir=3)),
+        lambda path: rewrite_json(path, lambda m: m.pop("fps")),
+    ], ids=["truncated", "not-utf8", "not-object", "no-mode", "no-tasks",
+            "tasks-not-list", "task-no-files", "task-empty-files",
+            "task-dir-not-string", "no-fps"])
+    @pytest.mark.parametrize("role", ["samples", "det"])
+    def test_malformed_samples_manifest_exits_2(self, tmp_path, edit, role):
+        rng = np.random.default_rng(5)
+        gt = rng.normal(size=(5, 6))
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+        build_sample_run(tmp_path / "d", [[gt]], [gt], mode="deterministic")
+        edit(tmp_path / ("s" if role == "samples" else "d") / "samples_manifest.json")
+        assert main(["eval", "--out", str(tmp_path / "e"),
+                     "--samples", str(tmp_path / "s"),
+                     "--det", str(tmp_path / "d")]) == 2
+
     def test_pipeline_with_deterministic_merge(self, tmp_path, checkpoint,
                                                dataset):
         sto = tmp_path / "sto"
@@ -391,6 +447,7 @@ class TestGradcheckCmd:
         assert "PASS" in text and "FAIL" not in text
         assert "matmul" in text and "layer_norm" in text
         assert "linear" in text and "attention" in text
+        assert "attention_cross" in text
         assert "series" in text and "parallel" in text
         assert "PASS" in capsys.readouterr().out
 

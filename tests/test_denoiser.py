@@ -10,6 +10,8 @@ from motion_diffusion.denoiser import (OUT_HEAD_SCALE, DenoiserConfig, DenoiserM
                                        assemble_input, denoise_parallel,
                                        denoise_series, init_denoiser, param_count,
                                        param_shapes, positional_encoding)
+from motion_diffusion.diffusion import (batch_noise_loss, build_schedule,
+                                       sample_stochastic)
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      NumericsError)
 
@@ -262,6 +264,135 @@ class TestForward:
         obs_first[0] += 0.5
         assert not np.array_equal(denoise_series(model, obs_first, fut, 2)[-1],
                                   base[-1])
+
+
+# Reference forward built from the primitive public ops.  Unlike `_forward`
+# it runs every frame as a query in every layer, projects with matmul + add
+# and composes attention from matmul/softmax_rows, and keeps the future
+# rows only at the very end.
+
+
+def reference_attention(q, k, v, n_heads):
+    m, s, c = q.data.shape
+    hd = c // n_heads
+
+    def heads(t):
+        return nm.transpose(nm.reshape(t, (m, s, n_heads, hd)), (0, 2, 1, 3))
+
+    scores = nm.scale(nm.matmul(heads(q), nm.transpose(heads(k), (0, 1, 3, 2))),
+                      1.0 / np.sqrt(hd))
+    ctx = nm.matmul(nm.softmax_rows(scores), heads(v))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, s, c))
+
+
+def reference_forward(cfg, leaves, p_obs, x_k, ks):
+    b, t, d = p_obs.shape
+    l, c = cfg.l_pred, cfg.model_dim
+    s = t + l
+
+    def affine(x, w, bias):
+        return nm.add(nm.matmul(x, leaves[w]), leaves[bias])
+
+    def layer(x, prefix):
+        h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
+        ctx = reference_attention(affine(h, f"{prefix}.wq", f"{prefix}.bq"),
+                                  affine(h, f"{prefix}.wk", f"{prefix}.bk"),
+                                  affine(h, f"{prefix}.wv", f"{prefix}.bv"),
+                                  cfg.n_heads)
+        x = nm.add(x, affine(ctx, f"{prefix}.wo", f"{prefix}.bo"))
+        h = nm.layer_norm(x, leaves[f"{prefix}.ln2_g"], leaves[f"{prefix}.ln2_b"])
+        h = nm.relu(affine(h, f"{prefix}.ff1_w", f"{prefix}.ff1_b"))
+        return nm.add(x, affine(h, f"{prefix}.ff2_w", f"{prefix}.ff2_b"))
+
+    def spatial(feat):
+        return nm.reshape(layer(nm.reshape(feat, (b * s, d, c)), "spat"), (b, s, d, c))
+
+    def temporal(feat):
+        tokens = nm.reshape(nm.transpose(feat, (0, 2, 1, 3)), (b * d, s, c))
+        return nm.transpose(nm.reshape(layer(tokens, "temp"), (b, d, s, c)),
+                            (0, 2, 1, 3))
+
+    cells = np.concatenate([p_obs, x_k], axis=1)[..., None]
+    feat = nm.add(nm.mul(nm.constant(cells), leaves["in_w"]), leaves["in_b"])
+    feat = nm.add(feat, nm.constant(positional_encoding(s, c)[:, None, :]))
+    feat = nm.add(feat, nm.constant(positional_encoding(d, c)))
+    feat = nm.add(feat, nm.reshape(nm.take_rows(leaves["step_emb"], ks), (b, 1, 1, c)))
+    if cfg.variant == "series":
+        y = affine(temporal(spatial(feat)), "out_w", "out_b")
+    else:
+        both = nm.concat([affine(spatial(feat), "out_s_w", "out_s_b"),
+                          affine(temporal(feat), "out_t_w", "out_t_b")], axis=-1)
+        y = affine(both, "fuse_w", "fuse_b")
+    return nm.reshape(nm.narrow(y, axis=1, start=t, length=l), (b, l, d))
+
+
+class ReferenceModel:
+    """Duck-typed model that routes `batch_noise_loss` through the reference."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def bind(self, tape):
+        return self.model.bind(tape)
+
+    def forward_batch(self, leaves, p_obs, x_k, ks):
+        return reference_forward(self.model.config, leaves, p_obs, x_k, ks)
+
+
+def random_batch(cfg, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, cfg.t_obs, cfg.dim)),
+            rng.normal(size=(n, cfg.l_pred, cfg.dim)),
+            rng.integers(1, cfg.k_steps + 1, size=n),
+            rng.standard_normal((n, cfg.l_pred, cfg.dim)))
+
+
+class TestMatchesReferenceForward:
+    """Future-only rows give what a full-row forward gives on the future frames."""
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_eval_batch(self, variant, n):
+        cfg = toy_config(variant)
+        model = init_denoiser(cfg, seed=12)
+        p_obs, x_k, ks, _ = random_batch(cfg, n, seed=13)
+        got = model.eval_batch(p_obs, x_k, ks)
+        want = reference_forward(cfg, model.bind(None), p_obs, x_k, ks).data
+        assert got.shape == (n, cfg.l_pred, cfg.dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_loss_and_gradients(self, variant, n):
+        cfg = toy_config(variant)
+        model = init_denoiser(cfg, seed=14)
+        sched = build_schedule(cfg.k_steps, 0.001, 0.333)
+        p_obs, p_gt, ks, eps = random_batch(cfg, n, seed=15)
+        results = []
+        for m in (model, ReferenceModel(model)):
+            tape = nm.Tape()
+            value, leaves = batch_noise_loss(m, tape, p_obs, p_gt, ks, eps, sched)
+            results.append((float(value.data), tape.gradients(value, leaves)))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+        for name in model.params:
+            np.testing.assert_allclose(grads[name], ref_grads[name],
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("t_obs, l_pred, dim, model_dim",
+                         [(1, 2, 6, 8), (2, 3, 3, 8), (1, 5, 3, 16)])
+@pytest.mark.parametrize("variant", ["series", "parallel"])
+def test_first_sample_independent_of_n(variant, t_obs, l_pred, dim, model_dim):
+    # small shapes where the readout's row count used to change sample 0
+    cfg = DenoiserConfig(variant=variant, model_dim=model_dim, n_heads=2,
+                         t_obs=t_obs, l_pred=l_pred, dim=dim, k_steps=3)
+    model = init_denoiser(cfg, seed=1)
+    sched = build_schedule(3, 0.01, 0.3)
+    obs = np.random.default_rng(0).normal(size=(t_obs, dim))
+    one = sample_stochastic(model, obs, 1, 8, sched).samples[0]
+    five = sample_stochastic(model, obs, 5, 8, sched).samples[0]
+    np.testing.assert_array_equal(one, five)
 
 
 class TestEncoderLayer:

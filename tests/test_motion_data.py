@@ -231,6 +231,13 @@ class TestManifest:
         for got, want in zip(loaded, seqs):
             assert np.array_equal(got.frames, want.frames)
 
+    @pytest.mark.parametrize("blob", [b'["a.mseq", ', b"", b"\xff\xfe[]"])
+    def test_manifest_not_json(self, tmp_path, blob):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
+            mdata.load_manifest(path)
+
     def test_bad_manifest_shape(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"files": []}')

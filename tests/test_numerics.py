@@ -94,16 +94,17 @@ def composed_linear(x, w, b):
 
 
 def composed_attention(q, k, v, n_heads):
-    m, s, c = q.data.shape
+    m, sq, c = q.data.shape
     hd = c // n_heads
 
     def heads(t):
-        return nm.transpose(nm.reshape(t, (m, s, n_heads, hd)), (0, 2, 1, 3))
+        rows = t.data.shape[1]
+        return nm.transpose(nm.reshape(t, (m, rows, n_heads, hd)), (0, 2, 1, 3))
 
     scores = nm.scale(nm.matmul(heads(q), nm.transpose(heads(k), (0, 1, 3, 2))),
                       1.0 / np.sqrt(hd))
     ctx = nm.matmul(nm.softmax_rows(scores), heads(v))
-    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, s, c))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, sq, c))
 
 
 def value_and_grads(op, arrays, weight):
@@ -113,9 +114,9 @@ def value_and_grads(op, arrays, weight):
     return out.data, tape.gradients(nm.sum_all(nm.mul(out, weight)), leaves)
 
 
-# denoiser token shapes for one task with N=1 and N=50 samples: S=9 frames,
-# D=6 pose parameters, C=8 channels in 2 heads
-ORACLE_S, ORACLE_D, ORACLE_C = 9, 6, 8
+# denoiser token shapes for one task with N=1 and N=50 samples: S=9 frames
+# of which L=5 are future frames, D=6 pose parameters, C=8 channels in 2 heads
+ORACLE_S, ORACLE_L, ORACLE_D, ORACLE_C = 9, 5, 6, 8
 
 
 class TestFusedOpsMatchComposition:
@@ -136,6 +137,17 @@ class TestFusedOpsMatchComposition:
             np.testing.assert_allclose(fused[1][name], composed[1][name],
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
+    def test_one_column_rows_do_not_depend_on_row_count(self, rng):
+        # the readout heads have one output column; a row's bits must be
+        # the same in a batch of m rows as in a batch of 5m
+        w, b = rng.normal(size=(ORACLE_C, 1)), rng.normal(size=(1,))
+        x = rng.normal(size=(40, ORACLE_C))
+        for m in range(1, 40):
+            batch = np.concatenate([x[:m]] * 5)
+            np.testing.assert_array_equal(nm.linear(x[:m], w, b).data,
+                                          nm.linear(batch, w, b).data[:m],
+                                          err_msg=f"{m} rows")
+
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("layer", ["spatial", "temporal"])
     def test_attention(self, rng, n, layer):
@@ -149,6 +161,25 @@ class TestFusedOpsMatchComposition:
             lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
         np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
         for name in arrays:
+            np.testing.assert_allclose(fused[1][name], composed[1][name],
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_attention_future_queries(self, rng, n):
+        # the temporal layer: the L future frames query all S frames
+        m = n * ORACLE_D
+        arrays = {"q": rng.normal(size=(m, ORACLE_L, ORACLE_C)),
+                  "k": rng.normal(size=(m, ORACLE_S, ORACLE_C)),
+                  "v": rng.normal(size=(m, ORACLE_S, ORACLE_C))}
+        weight = rng.normal(size=(m, ORACLE_L, ORACLE_C))
+        fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
+                                arrays, weight)
+        composed = value_and_grads(
+            lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
+        assert fused[0].shape == (m, ORACLE_L, ORACLE_C)
+        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+        for name in arrays:
+            assert fused[1][name].shape == arrays[name].shape, name
             np.testing.assert_allclose(fused[1][name], composed[1][name],
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
@@ -171,6 +202,15 @@ class TestFusedOpsMatchComposition:
             nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 4, 4)), 2)
         with pytest.raises(DimensionError):
             nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 4)), 3)
+        for q_shape, k_shape, v_shape in [
+                ((3, 2, 4), (2, 5, 4), (2, 5, 4)),   # q and k differ in M
+                ((2, 2, 6), (2, 5, 4), (2, 5, 4)),   # q and k differ in C
+                ((2, 2, 4), (2, 5, 4), (2, 4, 4)),   # k and v differ in S
+                ((2, 2, 4), (2, 5, 4), (3, 5, 4)),   # k and v differ in M
+                ((2, 2, 4), (2, 5, 4), (2, 5, 2)),   # k and v differ in C
+                ((2, 4), (2, 5, 4), (2, 5, 4))]:     # q is not 3-D
+            with pytest.raises(DimensionError):
+                nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(v_shape), 2)
 
     def test_attention_non_finite_score_rejected(self):
         big = np.full((1, 2, 2), 1e200)
@@ -271,6 +311,20 @@ def test_every_op_matches_finite_differences():
     assert errors, "op suite ran nothing"
     for name, err in errors.items():
         assert err < 1e-4, f"{name}: {err}"
+
+
+def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
+    # negative control for the attention_cross entry: a 1% error in gk alone
+    true_kernel = nm._attention_backward
+
+    def corrupted(*args):
+        gq, gk, gv = true_kernel(*args)
+        return gq, gk * 1.01, gv
+
+    monkeypatch.setattr(nm, "_attention_backward", corrupted)
+    errors = check_ops(seed=0, points=1)
+    assert errors["attention_cross"] > 1e-4
+    assert errors["linear"] < 1e-4
 
 
 def test_backward_bit_deterministic(rng):

@@ -332,6 +332,40 @@ class TestCheckpointIO:
         with pytest.raises(IntegrityError, match="missing"):
             md.load_checkpoint(path)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m.pop("tensors"),
+        lambda m: m["denoiser_config"].pop("dim"),
+        lambda m: m["denoiser_config"].update(model_dim="64"),
+        lambda m: m["schedule"].update(extra=1),
+        lambda m: m["schedule"].update(beta_min=2.0),
+        lambda m: m.pop("rng_state"),
+        lambda m: m.update(iteration="abc"),
+        lambda m: m.update(iteration=-1),
+        lambda m: m.update(tensors={"param.in_w": 0}),
+        lambda m: m["tensors"].__setitem__(0, "param.in_w"),
+        lambda m: m["tensors"][0].pop("shape"),
+        lambda m: m["tensors"][0].update(shape=[-2, -4]),
+        lambda m: m["tensors"][0].update(offset="0"),
+        lambda m: m["tensors"][0].update(crc32=None),
+        lambda m: m["tensors"][0].update(name=7),
+    ], ids=["no-tensors", "config-key-missing", "config-value-type",
+            "schedule-extra-key", "schedule-bad-value", "no-rng-state",
+            "iteration-not-int", "iteration-negative", "tensors-not-list",
+            "entry-not-object", "entry-no-shape", "entry-negative-shape",
+            "entry-offset-string", "entry-crc-null", "entry-name-not-string"])
+    def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
+        _, path, _ = self.trained_checkpoint(tmp_path)
+        self.edit_manifest(path, mutate)
+        with pytest.raises(IntegrityError):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b'"CKPT1"', b"null"])
+    def test_manifest_must_be_an_object(self, tmp_path, line):
+        path = tmp_path / "junk.ckpt"
+        path.write_bytes(line + b"\npayload")
+        with pytest.raises(IntegrityError, match="object"):
+            md.load_checkpoint(path)
+
     def test_manifest_must_be_json(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not json\npayload")
