@@ -233,6 +233,14 @@ def _dataset_tasks(cfg: dict, manifest_path: str):
     seqs = load_dataset(manifest_path)
     if not seqs:
         raise ConfigError(f"dataset manifest {manifest_path!r} lists no sequences")
+    meta = {"fps": seqs[0].fps, "representation": seqs[0].representation,
+            "dim": seqs[0].dim}
+    for i, seq in enumerate(seqs):
+        for key, value in meta.items():
+            if getattr(seq, key) != value:
+                raise ConfigError(
+                    f"dataset manifest {manifest_path!r}: sequence {i} has {key} "
+                    f"{getattr(seq, key)!r}, sequence 0 has {value!r}")
     train_seqs, val_seqs = split_sequences(
         seqs, train_fraction=cfg["train_fraction"], seed=cfg["split_seed"])
     def windows(group):
@@ -240,8 +248,6 @@ def _dataset_tasks(cfg: dict, manifest_path: str):
         for seq in group:
             tasks.extend(window_split(seq, cfg["t_obs"], cfg["l_pred"], cfg["stride"]))
         return tasks
-    meta = {"fps": seqs[0].fps, "representation": seqs[0].representation,
-            "dim": seqs[0].dim}
     return windows(train_seqs), windows(val_seqs), meta
 
 

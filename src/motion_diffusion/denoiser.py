@@ -8,9 +8,13 @@ runs spatial attention then temporal attention; the parallel variant
 runs both branches on the encoded input and fuses their two scalar maps
 with a learned per-position 2 -> 1 kernel.
 
-Attention is bidirectional everywhere: no causal mask.  Spatial
-attention treats the D scalar pose parameters as tokens (time folded
-into the batch); temporal attention treats the T+L frames as tokens.
+Attention is bidirectional everywhere: no causal mask.  Both layers
+hand `numerics.attention` a 4-D array whose two leading axes are batch
+axes.  Spatial attention runs on the (B, S, D, C) features as they are:
+the D scalar pose parameters are tokens, and the batch and the S frames
+ride the batch axes.  Temporal attention runs on the (B, D, S, C)
+transpose: the frames are tokens, and the batch and the D pose
+parameters ride the batch axes.
 
 Noise is predicted for the L future frames only.  The T observed frames
 are keys and values of temporal attention and nothing else: its queries,
@@ -23,7 +27,7 @@ frames alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +74,7 @@ def _layer_shapes(prefix: str, c: int) -> dict[str, tuple]:
     return {
         f"{prefix}.ln1_g": (c,), f"{prefix}.ln1_b": (c,),
         f"{prefix}.wq": (c, c), f"{prefix}.bq": (c,),
-        f"{prefix}.wk": (c, c), f"{prefix}.bk": (c,),
+        f"{prefix}.wk": (c, c),
         f"{prefix}.wv": (c, c), f"{prefix}.bv": (c,),
         f"{prefix}.wo": (c, c), f"{prefix}.bo": (c,),
         f"{prefix}.ln2_g": (c,), f"{prefix}.ln2_b": (c,),
@@ -106,7 +110,7 @@ def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray
         return rng.normal(0.0, STEP_EMB_STD, shape)
     if name.endswith(("_g",)):
         return np.ones(shape)
-    if name.endswith(("_b", ".bq", ".bk", ".bv", ".bo")) or name == "in_b":
+    if name.endswith(("_b", ".bq", ".bv", ".bo")) or name == "in_b":
         return np.zeros(shape)
     # weight matrices and the scalar input lift: Glorot uniform
     fan_in = shape[0] if len(shape) == 2 else 1
@@ -177,22 +181,8 @@ def init_denoiser(config: DenoiserConfig, seed: int) -> DenoiserModel:
 
 
 # ---------------------------------------------------------------------------
-# input assembly and encodings
+# encodings
 # ---------------------------------------------------------------------------
-
-
-def assemble_input(p_obs: np.ndarray, p_k: np.ndarray) -> np.ndarray:
-    """Stack observation rows above noised-future rows: (T+L, D)."""
-    p_obs = np.asarray(p_obs, dtype=np.float64)
-    p_k = np.asarray(p_k, dtype=np.float64)
-    if p_obs.ndim != 2 or p_k.ndim != 2:
-        raise DimensionError("assemble_input expects two 2-D arrays")
-    if p_obs.shape[0] < 1:
-        raise DimensionError("observation must contribute at least one row")
-    if p_obs.shape[1] != p_k.shape[1]:
-        raise DimensionError(
-            f"column mismatch: observation D={p_obs.shape[1]}, future D={p_k.shape[1]}")
-    return np.concatenate([p_obs, p_k], axis=0)
 
 
 def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
@@ -215,18 +205,21 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 
 
 def _attention(x, leaves, prefix: str, n_heads: int, start: int = 0):
-    """Pre-norm multi-head attention block on (M, S, C) tokens.
+    """Pre-norm multi-head attention block on (..., S, C) tokens.
 
     Every token is a key and a value; only tokens `start..S` are queries,
-    and only their (M, S - start, C) rows are returned.
+    and only their (..., S - start, C) rows are returned.
     """
     h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
-    k = nm.linear(h, leaves[f"{prefix}.wk"], leaves[f"{prefix}.bk"])
+    # no key bias: it adds the same q.b to every score of a query row,
+    # which softmax cancels
+    k = nm.linear(h, leaves[f"{prefix}.wk"])
     v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
     if start:
-        rows = x.data.shape[1] - start
-        h = nm.narrow(h, axis=1, start=start, length=rows)
-        x = nm.narrow(x, axis=1, start=start, length=rows)
+        axis = x.data.ndim - 2
+        rows = x.data.shape[axis] - start
+        h = nm.narrow(h, axis=axis, start=start, length=rows)
+        x = nm.narrow(x, axis=axis, start=start, length=rows)
     q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
     ctx = nm.attention(q, k, v, n_heads)
     return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
@@ -240,29 +233,23 @@ def _feedforward(x, leaves, prefix: str):
 
 
 def _encoder_layer(tokens, leaves, prefix: str, n_heads: int, start: int = 0):
-    """Attention then feedforward; returns the rows of tokens `start..S`."""
+    """Attention then feedforward over axis -2 of (..., S, C) tokens.
+
+    Returns the rows of tokens `start..S`.
+    """
     return _feedforward(_attention(tokens, leaves, prefix, n_heads, start),
                         leaves, prefix)
 
 
-def _spatial_layer(feat, leaves, n_heads: int):
-    """Attend across the D pose parameters; time rides the batch axis."""
-    b, s, d, c = feat.data.shape
-    tokens = nm.reshape(feat, (b * s, d, c))
-    tokens = _encoder_layer(tokens, leaves, "spat", n_heads)
-    return nm.reshape(tokens, (b, s, d, c))
-
-
 def _temporal_layer(feat, leaves, n_heads: int, start: int):
-    """Attend across the frames; pose parameters ride the batch axis.
+    """Attend across the frames; batch and pose parameters ride the batch axes.
 
     All S frames are keys and values; frames `start..S` are the queries,
     so the result is (B, S - start, D, C).
     """
-    b, s, d, c = feat.data.shape
-    tokens = nm.reshape(nm.transpose(feat, (0, 2, 1, 3)), (b * d, s, c))
-    tokens = _encoder_layer(tokens, leaves, "temp", n_heads, start)
-    return nm.transpose(nm.reshape(tokens, (b, d, s - start, c)), (0, 2, 1, 3))
+    tokens = _encoder_layer(nm.transpose(feat, (0, 2, 1, 3)), leaves, "temp",
+                            n_heads, start)
+    return nm.transpose(tokens, (0, 2, 1, 3))
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
@@ -279,8 +266,8 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
         raise DimensionError(f"noised-future batch shape {x_k.shape} != {(b, l, d)}")
     if ks.shape != (b,):
         raise DimensionError(f"ks shape {ks.shape} != ({b},)")
-    if np.any(ks < 0) or np.any(ks > cfg.k_steps):
-        raise ContractError(f"step indices must lie in [0, {cfg.k_steps}]")
+    if np.any(ks < 1) or np.any(ks > cfg.k_steps):
+        raise ContractError(f"diffusion steps must lie in [1, {cfg.k_steps}]")
     s = t + l
 
     cells = np.concatenate([p_obs, x_k], axis=1)[..., None]      # (B, S, D, 1)
@@ -291,12 +278,12 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
     feat = nm.add(feat, step)
 
     if cfg.variant == "series":
-        feat = _spatial_layer(feat, leaves, cfg.n_heads)
+        feat = _encoder_layer(feat, leaves, "spat", cfg.n_heads)
         feat = _temporal_layer(feat, leaves, cfg.n_heads, start=t)
         y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, L, D, 1)
     else:
         future = nm.narrow(feat, axis=1, start=t, length=l)
-        ya = nm.linear(_spatial_layer(future, leaves, cfg.n_heads),
+        ya = nm.linear(_encoder_layer(future, leaves, "spat", cfg.n_heads),
                        leaves["out_s_w"], leaves["out_s_b"])
         yb = nm.linear(_temporal_layer(feat, leaves, cfg.n_heads, start=t),
                        leaves["out_t_w"], leaves["out_t_b"])
@@ -304,28 +291,3 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
         y = nm.linear(stacked, leaves["fuse_w"], leaves["fuse_b"])
 
     return nm.reshape(y, (b, l, d))
-
-
-def _denoise_single(model: DenoiserModel, p_obs: np.ndarray, p_k: np.ndarray,
-                    k: int, variant: str) -> np.ndarray:
-    if model.config.variant != variant:
-        raise ContractError(
-            f"model variant is {model.config.variant!r}, not {variant!r}")
-    if not 1 <= k <= model.config.k_steps:
-        raise ContractError(
-            f"diffusion step k={k} outside [1, {model.config.k_steps}]")
-    p_obs = np.asarray(p_obs, dtype=np.float64)
-    p_k = np.asarray(p_k, dtype=np.float64)
-    return model.eval_batch(p_obs[None], p_k[None], np.array([k]))[0]
-
-
-def denoise_series(model: DenoiserModel, p_obs: np.ndarray, p_k: np.ndarray,
-                   k: int) -> np.ndarray:
-    """Series variant: spatial attention, then temporal, then readout."""
-    return _denoise_single(model, p_obs, p_k, k, "series")
-
-
-def denoise_parallel(model: DenoiserModel, p_obs: np.ndarray, p_k: np.ndarray,
-                     k: int) -> np.ndarray:
-    """Parallel variant: both branches fused by the learned 1x1 kernel."""
-    return _denoise_single(model, p_obs, p_k, k, "parallel")

@@ -19,7 +19,6 @@ import numpy as np
 from . import numerics as nm
 from .errors import ConfigError, ContractError, DimensionError, SamplingDivergedError
 from .metrics import SampleSet
-from .motion_data import PredictionTask
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,25 +166,6 @@ def batch_noise_loss(model, tape: nm.Tape | None, p_obs: np.ndarray,
     eps_hat = model.forward_batch(leaves, p_obs, x_k, ks)
     resid = nm.sub(nm.constant(eps), eps_hat)
     return nm.mean_all(nm.mul(resid, resid)), leaves
-
-
-def loss(model, task: PredictionTask, k: int, eps: np.ndarray,
-         sched: NoiseSchedule) -> tuple[float, dict[str, np.ndarray]]:
-    """Single-task conditional loss and its parameter gradients.
-
-    The caller samples k uniformly from 1..K and draws eps ~ N(0, I);
-    both are passed in for testability.
-    """
-    if task.p_gt is None:
-        raise ContractError("loss requires a task with ground-truth future frames")
-    eps = np.asarray(eps, dtype=np.float64)
-    _check_same_shape("p_gt", task.p_gt, "eps", eps)
-    tape = nm.Tape()
-    value, leaves = batch_noise_loss(
-        model, tape, task.p_obs[None], task.p_gt[None],
-        np.array([k]), eps[None], sched)
-    grads = tape.gradients(value, leaves)
-    return float(value.data), grads
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,13 @@ def check_ops(seed: int = 0, points: int = 10,
         record("linear",
                lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"], t["b"]), wl)),
                {"x": lx, "w": lw, "b": lb})
-        # two heads of width 2 over 3 tokens
-        qkv = {name: rng.normal(size=(2, 3, 4)) for name in ("q", "k", "v")}
-        wa = rng.normal(size=(2, 3, 4))
+        record("linear",
+               lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"]), wl)),
+               {"x": lx, "w": lw})
+        # two heads of width 2 over 3 tokens, two leading batch axes as in
+        # the spatial and temporal layers
+        qkv = {name: rng.normal(size=(2, 2, 3, 4)) for name in ("q", "k", "v")}
+        wa = rng.normal(size=(2, 2, 3, 4))
         record("attention",
                lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wa)),
                qkv)

@@ -184,9 +184,8 @@ def _softmax_inplace(x):
 
 
 def _heads(a, n_heads):
-    """(M, S, C) -> (M, H, S, C/H) strided view of the per-head channel slices."""
-    m, s, c = a.shape
-    return a.reshape(m, s, n_heads, c // n_heads).transpose(0, 2, 1, 3)
+    """(..., S, C) -> (..., H, S, C/H) strided view of the per-head channel slices."""
+    return np.swapaxes(a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads), -2, -3)
 
 
 # Backward kernels live at module level so diagnostics (and the
@@ -214,9 +213,9 @@ def _linear_backward_w(g2, x2):
 
 
 def _attention_backward(g, q, k, v, p, n_heads, factor):
-    """Gradients of `attention` wrt q (M, Sq, C) and k, v (M, S, C).
+    """Gradients of `attention` wrt q (..., Sq, C) and k, v (..., S, C).
 
-    `p` holds the forward's softmax probabilities, (M, H, Sq, S); every
+    `p` holds the forward's softmax probabilities, (..., H, Sq, S); every
     head-gradient product writes straight into its buffer, which has the
     shape of the input it belongs to.
     """
@@ -324,46 +323,56 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", out, [a, b], make)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b=None) -> Tensor:
     """Affine map of the last axis: x @ w + b for x (..., C), w (C, N), b (N,).
 
-    The leading axes are flattened, so the forward is one 2-D GEMM and
-    each matrix gradient is one GEMM over all rows: dL/dx = g @ w^T and
-    dL/dw = x^T @ g; dL/db is the column sums of g.
+    The bias is optional.  The leading axes are flattened, so the forward
+    is one 2-D GEMM and each matrix gradient is one GEMM over all rows:
+    dL/dx = g @ w^T and dL/dw = x^T @ g; dL/db is the column sums of g.
 
     With one output column (N = 1) the forward is a row-wise reduction
     instead: numpy hands such a product to gemv, whose bits for a row
     depend on how many rows come with it, and a row's value must not
     depend on the batch (sample 0 is the same for any sample count).
     """
-    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    x, w = _coerce(x), _coerce(w)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
         raise DimensionError(
             f"linear needs x (..., C) and w (C, N), got {x.data.shape} and {w.data.shape}")
     c, n = w.data.shape
-    if b.data.shape != (n,):
-        raise DimensionError(f"linear bias must have shape ({n},), got {b.data.shape}")
+    inputs = [x, w]
+    if b is not None:
+        b = _coerce(b)
+        if b.data.shape != (n,):
+            raise DimensionError(f"linear bias must have shape ({n},), got {b.data.shape}")
+        inputs.append(b)
     xsh = x.data.shape
     x2, wd = x.data.reshape(-1, c), w.data
     out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True) if n == 1 else x2 @ wd
-    out += b.data
+    if b is not None:
+        out += b.data
 
+    # the pullback reads len(need), not b: a taped tensor held by a record
+    # would tie the tape into a reference cycle
     def make(need):
         def pull(g):
             g2 = g.reshape(-1, n)
-            return (_linear_backward_x(g2, wd).reshape(xsh) if need[0] else None,
-                    _linear_backward_w(g2, x2) if need[1] else None,
-                    g2.sum(axis=0) if need[2] else None)
+            grads = (_linear_backward_x(g2, wd).reshape(xsh) if need[0] else None,
+                     _linear_backward_w(g2, x2) if need[1] else None)
+            if len(need) == 3:
+                grads += (g2.sum(axis=0) if need[2] else None,)
+            return grads
         return pull
 
-    return _emit("linear", out.reshape(*xsh[:-1], n), [x, w, b], make)
+    return _emit("linear", out.reshape(*xsh[:-1], n), inputs, make)
 
 
 def attention(q, k, v, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention of Sq queries over S keys.
 
-    q is (M, Sq, C); k and v are (M, S, C); the output is (M, Sq, C).
-    Head h attends with channel slice h of width hd = C / n_heads:
+    q is (..., Sq, C); k and v are (..., S, C) with the same leading
+    batch axes (at least one); the output is (..., Sq, C).  Head h
+    attends with channel slice h of width hd = C / n_heads:
     softmax(q_h k_h^T / sqrt(hd)) v_h, bidirectional (no mask).  Heads
     are strided views of the inputs, never copies, and each head's
     context is written straight into the output.  The pullback reuses
@@ -372,10 +381,10 @@ def attention(q, k, v, n_heads: int) -> Tensor:
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     shape = q.data.shape
     kshape = k.data.shape
-    if (len(shape) != 3 or len(kshape) != 3 or v.data.shape != kshape
-            or shape[0] != kshape[0] or shape[2] != kshape[2]):
+    if (len(shape) < 3 or len(kshape) != len(shape) or v.data.shape != kshape
+            or shape[:-2] != kshape[:-2] or shape[-1] != kshape[-1]):
         raise DimensionError(
-            f"attention needs q (M, Sq, C) and k, v (M, S, C), got "
+            f"attention needs q (..., Sq, C) and k, v (..., S, C), got "
             f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
     if n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")

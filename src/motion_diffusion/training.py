@@ -29,6 +29,9 @@ from .motion_data import Normalizer, PredictionTask
 CKPT_VERSION = 1
 LOG_EVERY = 100
 DIVERGE_LIMIT = 1e6
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,6 @@ class TrainConfig:
     batch_size: int = 64
     iterations: int = 2000
     lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 500
     grad_clip: float = 0.0  # global-norm clip; 0 disables
@@ -48,17 +48,13 @@ class TrainConfig:
             raise ConfigError("batch_size, iterations, checkpoint_every must be >= 1")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be positive")
         if self.grad_clip < 0:
             raise ConfigError("grad_clip must be >= 0")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in (
-            "batch_size", "iterations", "lr", "adam_beta1", "adam_beta2",
-            "adam_eps", "seed", "checkpoint_every", "grad_clip")}
+            "batch_size", "iterations", "lr", "seed", "checkpoint_every",
+            "grad_clip")}
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -76,14 +72,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if total > cfg.grad_clip:
             grads = {k: g * (cfg.grad_clip / total) for k, g in grads.items()}
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for name, g in grads.items():
         m[name] = b1 * m[name] + (1.0 - b1) * g
         v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
         params[name] = params[name] - cfg.lr * (m[name] / c1) / (
-            np.sqrt(v[name] / c2) + cfg.adam_eps)
+            np.sqrt(v[name] / c2) + ADAM_EPS)
 
 
 @dataclass(eq=False)
@@ -304,6 +300,10 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
         rng_state = manifest["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint manifest is malformed: {exc!r}") from exc
+    try:
+        np.random.PCG64().state = rng_state
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from exc
     if expect_denoiser is not None and den_cfg != expect_denoiser:
         raise ConfigError("checkpoint denoiser config does not match the expected one")
     if not isinstance(entries, list):
@@ -332,7 +332,14 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
     if has_normalizer:
         if "norm.mean" not in tensors or "norm.std" not in tensors:
             raise IntegrityError("checkpoint is missing normalizer tensors")
-        normalizer = Normalizer(mean=tensors["norm.mean"], std=tensors["norm.std"])
+        mean, std = tensors["norm.mean"], tensors["norm.std"]
+        if mean.shape != (den_cfg.dim,) or std.shape != (den_cfg.dim,):
+            raise IntegrityError(
+                f"normalizer tensors have shapes {mean.shape} and {std.shape}, "
+                f"not ({den_cfg.dim},)")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
+            raise IntegrityError("normalizer needs a finite mean and a finite, positive std")
+        normalizer = Normalizer(mean=mean, std=std)
     return Checkpoint(version=CKPT_VERSION, denoiser_config=den_cfg, schedule=sched,
                       normalizer=normalizer, params=params, adam_m=m_mom,
                       adam_v=v_mom, iteration=iteration, rng_state=rng_state)

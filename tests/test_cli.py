@@ -163,6 +163,24 @@ class TestTrainCmd:
         assert main(["train", "--out", str(tmp_path / "o"),
                      "--data", str(tmp_path / "nope.json"), *TRAIN_ARGS]) == 2
 
+    @pytest.mark.parametrize("second", [dict(n_joints=3), dict(fps=30.0)],
+                             ids=["dim", "fps"])
+    def test_mixed_sequence_metadata_exits_2(self, tmp_path, capsys, second):
+        # the second sequence disagrees with the first in pose dimension
+        # or frame rate
+        names = []
+        for i, over in enumerate([{}, second]):
+            kw = dict(n_joints=2, n_sequences=1, frames_per_sequence=30,
+                      fps=25.0, action_mix={"walk": 1.0}, seed=i)
+            kw.update(over)
+            names.append(f"seq_{i}.mseq")
+            md.save_motion_file(str(tmp_path / names[-1]), md.synth_dataset(**kw)[0])
+        manifest = str(tmp_path / "manifest.json")
+        md.save_manifest(manifest, names)
+        assert main(["train", "--out", str(tmp_path / "o"), "--data", manifest,
+                     "--iterations", "1", *TRAIN_ARGS]) == 2
+        assert "sequence 1" in capsys.readouterr().err
+
     def test_resume_continues_bit_identically(self, tmp_path, dataset):
         def train_to(out, iters, resume=None):
             argv = ["train", "--out", str(out), "--data", dataset,

@@ -1,0 +1,22 @@
+"""The fast demos run to completion against the package as it stands.
+
+Demo 03 trains for about a minute and is left out.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("demo", ["01_noise_schedule.py", "02_synthetic_data.py",
+                                  "04_sampling_modes.py", "05_metrics_tour.py"])
+def test_demo_exits_0(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,5 @@
-"""Denoiser architecture: input assembly, encodings, attention blocks,
-variant wiring, parameter inventory, and evaluation-count bookkeeping."""
+"""Denoiser architecture: encodings, attention blocks, variant wiring,
+parameter inventory, and evaluation-count bookkeeping."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,8 @@ import pytest
 import motion_diffusion.numerics as nm
 from motion_diffusion import denoiser as dn
 from motion_diffusion.denoiser import (OUT_HEAD_SCALE, DenoiserConfig, DenoiserModel,
-                                       assemble_input, denoise_parallel,
-                                       denoise_series, init_denoiser, param_count,
-                                       param_shapes, positional_encoding)
+                                       init_denoiser, param_count, param_shapes,
+                                       positional_encoding)
 from motion_diffusion.diffusion import (batch_noise_loss, build_schedule,
                                        sample_stochastic)
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
@@ -29,6 +28,11 @@ def toy_inputs(cfg, seed=0):
             rng.normal(size=(cfg.l_pred, cfg.dim)))
 
 
+def eval_one(model, obs, fut, k):
+    """Noise prediction for one (observation, noised future) pair at step k."""
+    return model.eval_batch(obs[None], fut[None], np.array([k]))[0]
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -39,6 +43,8 @@ class TestConfig:
             toy_config("series", n_heads=3)  # 16 % 3 != 0
         with pytest.raises(ConfigError):
             toy_config("series", l_pred=0)
+        with pytest.raises(ConfigError):
+            toy_config("series", t_obs=0)  # no observed rows
 
     def test_round_trips_through_dict(self):
         cfg = toy_config("parallel")
@@ -46,21 +52,19 @@ class TestConfig:
 
 
 class TestAssembleInput:
-    def test_stacks_observation_above_future(self, rng):
-        obs = rng.normal(size=(3, 5))
-        fut = rng.normal(size=(2, 5))
-        joint = assemble_input(obs, fut)
-        assert joint.shape == (5, 5)
-        np.testing.assert_array_equal(joint[:3], obs)
-        np.testing.assert_array_equal(joint[3:], fut)
+    """The forward stacks observation above future; both must fit the config."""
 
     def test_requires_observed_rows(self):
+        model = init_denoiser(toy_config("series"), seed=0)
+        _, fut = toy_inputs(model.config)
         with pytest.raises(DimensionError):
-            assemble_input(np.zeros((0, 5)), np.zeros((2, 5)))
+            eval_one(model, np.zeros((0, model.config.dim)), fut, 1)
 
     def test_rejects_column_mismatch(self):
+        model = init_denoiser(toy_config("series"), seed=0)
+        obs, fut = toy_inputs(model.config)
         with pytest.raises(DimensionError):
-            assemble_input(np.zeros((3, 5)), np.zeros((2, 4)))
+            eval_one(model, obs, fut[:, :4], 1)
 
 
 class TestPositionalEncoding:
@@ -90,12 +94,12 @@ class TestPositionalEncoding:
 
 class TestParameterInventory:
     def test_series_count_closed_form(self):
-        # 24 c^2 + (K + 30) c + 1 with c = 16, K = 5
-        assert param_count(toy_config("series")) == 6705
+        # 24 c^2 + (K + 28) c + 1 with c = 16, K = 5
+        assert param_count(toy_config("series")) == 6673
 
     def test_parallel_count_closed_form(self):
         # series minus the single head, plus two heads and the 2->1 fuse
-        assert param_count(toy_config("parallel")) == 6725
+        assert param_count(toy_config("parallel")) == 6693
 
     def test_count_matches_shape_table(self):
         for variant in ("series", "parallel"):
@@ -182,7 +186,7 @@ class TestModelContract:
         obs, fut = toy_inputs(model.config)
         model.params["in_w"][0] = np.inf
         with pytest.raises(NumericsError):
-            denoise_series(model, obs, fut, 1)
+            eval_one(model, obs, fut, 1)
 
 
 class TestForward:
@@ -191,9 +195,8 @@ class TestForward:
         cfg = toy_config(variant)
         model = init_denoiser(cfg, seed=2)
         obs, fut = toy_inputs(cfg)
-        call = denoise_series if variant == "series" else denoise_parallel
-        a = call(model, obs, fut, 3)
-        b = call(model, obs, fut, 3)
+        a = eval_one(model, obs, fut, 3)
+        b = eval_one(model, obs, fut, 3)
         assert a.shape == (cfg.l_pred, cfg.dim)
         np.testing.assert_array_equal(a, b)
 
@@ -201,51 +204,46 @@ class TestForward:
         cfg = toy_config("series")
         model = init_denoiser(cfg, seed=2)
         obs, fut = toy_inputs(cfg)
-        denoise_series(model, obs, fut, 1)
+        eval_one(model, obs, fut, 1)
         assert model.eval_count == 1
         model.eval_batch(np.broadcast_to(obs, (7,) + obs.shape),
                          np.broadcast_to(fut, (7,) + fut.shape),
                          np.ones(7, dtype=np.intp))
         assert model.eval_count == 8
 
-    def test_variant_guard(self):
-        model = init_denoiser(toy_config("series"), seed=0)
-        obs, fut = toy_inputs(model.config)
-        with pytest.raises(ContractError):
-            denoise_parallel(model, obs, fut, 1)
-
     def test_step_range_guard(self):
         model = init_denoiser(toy_config("series"), seed=0)
         obs, fut = toy_inputs(model.config)
         for k in (0, 6):
             with pytest.raises(ContractError):
-                denoise_series(model, obs, fut, k)
+                eval_one(model, obs, fut, k)
 
     def test_shape_guard(self):
         model = init_denoiser(toy_config("series"), seed=0)
         obs, fut = toy_inputs(model.config)
         with pytest.raises(DimensionError):
-            denoise_series(model, obs[:, :4], fut, 1)
+            eval_one(model, obs[:, :4], fut, 1)
         with pytest.raises(DimensionError):
-            denoise_series(model, obs, fut[:3], 1)
+            eval_one(model, obs, fut[:3], 1)
+        with pytest.raises(DimensionError):
+            eval_one(model, obs, fut[:, :4], 1)
 
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_sensitive_to_conditioning(self, variant):
         cfg = toy_config(variant)
         model = init_denoiser(cfg, seed=5)
         obs, fut = toy_inputs(cfg)
-        call = denoise_series if variant == "series" else denoise_parallel
-        base = call(model, obs, fut, 2)
+        base = eval_one(model, obs, fut, 2)
         moved = obs.copy()
         moved[0, 0] += 1.0
-        assert not np.array_equal(call(model, moved, fut, 2), base)
+        assert not np.array_equal(eval_one(model, moved, fut, 2), base)
 
     def test_sensitive_to_step_index(self):
         cfg = toy_config("series")
         model = init_denoiser(cfg, seed=5)
         obs, fut = toy_inputs(cfg)
-        assert not np.array_equal(denoise_series(model, obs, fut, 1),
-                                  denoise_series(model, obs, fut, 2))
+        assert not np.array_equal(eval_one(model, obs, fut, 1),
+                                  eval_one(model, obs, fut, 2))
 
     def test_attention_runs_both_directions_in_time(self):
         # a change in the last noised frame must reach the first predicted
@@ -254,16 +252,14 @@ class TestForward:
         cfg = toy_config("series")
         model = init_denoiser(cfg, seed=5)
         obs, fut = toy_inputs(cfg)
-        base = denoise_series(model, obs, fut, 2)
+        base = eval_one(model, obs, fut, 2)
 
         fut_last = fut.copy()
         fut_last[-1] += 0.5
-        assert not np.array_equal(denoise_series(model, obs, fut_last, 2)[0],
-                                  base[0])
+        assert not np.array_equal(eval_one(model, obs, fut_last, 2)[0], base[0])
         obs_first = obs.copy()
         obs_first[0] += 0.5
-        assert not np.array_equal(denoise_series(model, obs_first, fut, 2)[-1],
-                                  base[-1])
+        assert not np.array_equal(eval_one(model, obs_first, fut, 2)[-1], base[-1])
 
 
 # Reference forward built from the primitive public ops.  Unlike `_forward`
@@ -290,13 +286,14 @@ def reference_forward(cfg, leaves, p_obs, x_k, ks):
     l, c = cfg.l_pred, cfg.model_dim
     s = t + l
 
-    def affine(x, w, bias):
-        return nm.add(nm.matmul(x, leaves[w]), leaves[bias])
+    def affine(x, w, bias=None):
+        y = nm.matmul(x, leaves[w])
+        return y if bias is None else nm.add(y, leaves[bias])
 
     def layer(x, prefix):
         h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
         ctx = reference_attention(affine(h, f"{prefix}.wq", f"{prefix}.bq"),
-                                  affine(h, f"{prefix}.wk", f"{prefix}.bk"),
+                                  affine(h, f"{prefix}.wk"),
                                   affine(h, f"{prefix}.wv", f"{prefix}.bv"),
                                   cfg.n_heads)
         x = nm.add(x, affine(ctx, f"{prefix}.wo", f"{prefix}.bo"))
@@ -426,7 +423,7 @@ class TestParallelFusion:
     def run_with_fuse(self, model, obs, fut, w, b=0.0):
         model.params["fuse_w"][:] = np.asarray(w, dtype=np.float64)[:, None]
         model.params["fuse_b"][:] = b
-        return denoise_parallel(model, obs, fut, 2)
+        return eval_one(model, obs, fut, 2)
 
     def test_unit_weights_select_one_branch(self):
         model, obs, fut = self.make()

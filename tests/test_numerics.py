@@ -1,6 +1,9 @@
 """Tape engine tests: op semantics, pullbacks vs finite differences,
 determinism, and the error contract."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 import motion_diffusion.numerics as nm
 from motion_diffusion.denoiser import DenoiserConfig, init_denoiser
-from motion_diffusion.diffusion import build_schedule
+from motion_diffusion.diffusion import batch_noise_loss, build_schedule
 from motion_diffusion.errors import ContractError, DimensionError, NumericsError
 from motion_diffusion.gradcheck import (central_difference, check_ops,
                                         probe_loss_gradients, relative_error)
@@ -89,22 +92,25 @@ class TestSoftmax:
         assert relative_error(jvp, fd) < 1e-6
 
 
-def composed_linear(x, w, b):
-    return nm.add(nm.matmul(x, w), b)
+def composed_linear(x, w, b=None):
+    y = nm.matmul(x, w)
+    return y if b is None else nm.add(y, b)
 
 
 def composed_attention(q, k, v, n_heads):
-    m, sq, c = q.data.shape
+    # the leading axes are folded into one batch axis M
+    *lead, sq, c = q.data.shape
+    m = int(np.prod(lead))
     hd = c // n_heads
 
     def heads(t):
-        rows = t.data.shape[1]
+        rows = t.data.shape[-2]
         return nm.transpose(nm.reshape(t, (m, rows, n_heads, hd)), (0, 2, 1, 3))
 
     scores = nm.scale(nm.matmul(heads(q), nm.transpose(heads(k), (0, 1, 3, 2))),
                       1.0 / np.sqrt(hd))
     ctx = nm.matmul(nm.softmax_rows(scores), heads(v))
-    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (m, sq, c))
+    return nm.reshape(nm.transpose(ctx, (0, 2, 1, 3)), (*lead, sq, c))
 
 
 def value_and_grads(op, arrays, weight):
@@ -124,18 +130,20 @@ class TestFusedOpsMatchComposition:
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_linear(self, rng, n):
-        arrays = {"x": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C)),
-                  "w": rng.normal(size=(ORACLE_C, 3 * ORACLE_C)),
-                  "b": rng.normal(size=(3 * ORACLE_C,))}
+        full = {"x": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C)),
+                "w": rng.normal(size=(ORACLE_C, 3 * ORACLE_C)),
+                "b": rng.normal(size=(3 * ORACLE_C,))}
         weight = rng.normal(size=(n, ORACLE_S, ORACLE_D, 3 * ORACLE_C))
-        fused = value_and_grads(lambda t: nm.linear(t["x"], t["w"], t["b"]),
-                                arrays, weight)
-        composed = value_and_grads(lambda t: composed_linear(t["x"], t["w"], t["b"]),
-                                   arrays, weight)
-        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
-        for name in arrays:
-            np.testing.assert_allclose(fused[1][name], composed[1][name],
-                                       rtol=1e-12, atol=1e-12, err_msg=name)
+        # with a bias, and without one as the key projection runs
+        for arrays in (full, {"x": full["x"], "w": full["w"]}):
+            fused = value_and_grads(lambda t: nm.linear(t["x"], t["w"], t.get("b")),
+                                    arrays, weight)
+            composed = value_and_grads(
+                lambda t: composed_linear(t["x"], t["w"], t.get("b")), arrays, weight)
+            np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+            for name in arrays:
+                np.testing.assert_allclose(fused[1][name], composed[1][name],
+                                           rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_one_column_rows_do_not_depend_on_row_count(self, rng):
         # the readout heads have one output column; a row's bits must be
@@ -151,10 +159,11 @@ class TestFusedOpsMatchComposition:
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("layer", ["spatial", "temporal"])
     def test_attention(self, rng, n, layer):
-        m, s = ((n * ORACLE_S, ORACLE_D) if layer == "spatial"
-                else (n * ORACLE_D, ORACLE_S))
-        arrays = {name: rng.normal(size=(m, s, ORACLE_C)) for name in "qkv"}
-        weight = rng.normal(size=(m, s, ORACLE_C))
+        # the layers' token arrays: (B, S, D, C) spatial, (B, D, S, C) temporal
+        shape = ((n, ORACLE_S, ORACLE_D, ORACLE_C) if layer == "spatial"
+                 else (n, ORACLE_D, ORACLE_S, ORACLE_C))
+        arrays = {name: rng.normal(size=shape) for name in "qkv"}
+        weight = rng.normal(size=shape)
         fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
                                 arrays, weight)
         composed = value_and_grads(
@@ -167,16 +176,15 @@ class TestFusedOpsMatchComposition:
     @pytest.mark.parametrize("n", [1, 50])
     def test_attention_future_queries(self, rng, n):
         # the temporal layer: the L future frames query all S frames
-        m = n * ORACLE_D
-        arrays = {"q": rng.normal(size=(m, ORACLE_L, ORACLE_C)),
-                  "k": rng.normal(size=(m, ORACLE_S, ORACLE_C)),
-                  "v": rng.normal(size=(m, ORACLE_S, ORACLE_C))}
-        weight = rng.normal(size=(m, ORACLE_L, ORACLE_C))
+        arrays = {"q": rng.normal(size=(n, ORACLE_D, ORACLE_L, ORACLE_C)),
+                  "k": rng.normal(size=(n, ORACLE_D, ORACLE_S, ORACLE_C)),
+                  "v": rng.normal(size=(n, ORACLE_D, ORACLE_S, ORACLE_C))}
+        weight = rng.normal(size=(n, ORACLE_D, ORACLE_L, ORACLE_C))
         fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
                                 arrays, weight)
         composed = value_and_grads(
             lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
-        assert fused[0].shape == (m, ORACLE_L, ORACLE_C)
+        assert fused[0].shape == (n, ORACLE_D, ORACLE_L, ORACLE_C)
         np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
         for name in arrays:
             assert fused[1][name].shape == arrays[name].shape, name
@@ -208,7 +216,10 @@ class TestFusedOpsMatchComposition:
                 ((2, 2, 4), (2, 5, 4), (2, 4, 4)),   # k and v differ in S
                 ((2, 2, 4), (2, 5, 4), (3, 5, 4)),   # k and v differ in M
                 ((2, 2, 4), (2, 5, 4), (2, 5, 2)),   # k and v differ in C
-                ((2, 4), (2, 5, 4), (2, 5, 4))]:     # q is not 3-D
+                ((2, 3, 2, 4), (2, 4, 5, 4), (2, 4, 5, 4)),  # leading axes differ
+                ((3, 2, 4), (1, 3, 5, 4), (1, 3, 5, 4)),     # ranks differ
+                ((2, 4), (2, 5, 4), (2, 5, 4)),      # q has fewer than 3 axes
+                ((2, 4), (5, 4), (5, 4))]:           # no batch axis at all
             with pytest.raises(DimensionError):
                 nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(v_shape), 2)
 
@@ -325,6 +336,30 @@ def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
     errors = check_ops(seed=0, points=1)
     assert errors["attention_cross"] > 1e-4
     assert errors["linear"] < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["series", "parallel"])
+def test_training_step_leaves_no_reference_cycle(variant):
+    # a pullback that holds a taped tensor ties the tape into a reference
+    # cycle, and every buffer of the step then lives until the cycle
+    # collector happens to run
+    cfg = DenoiserConfig(variant=variant, model_dim=16, n_heads=2,
+                         t_obs=3, l_pred=4, dim=6, k_steps=5)
+    model = init_denoiser(cfg, 3)
+    rng = np.random.default_rng(0)
+    batch = (rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 4, 6)),
+             np.array([1, 5]), rng.normal(size=(2, 4, 6)))
+    gc.disable()
+    try:
+        tape = nm.Tape()
+        loss, leaves = batch_noise_loss(model, tape, *batch,
+                                        build_schedule(5, 0.001, 0.333))
+        tape.gradients(loss, leaves)
+        alive = weakref.ref(tape)
+        del tape, loss, leaves
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_backward_bit_deterministic(rng):

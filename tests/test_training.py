@@ -2,6 +2,7 @@
 and checkpoint persistence."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import motion_diffusion as md
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      IntegrityError, TrainingDivergedError)
-from motion_diffusion.training import LOG_EVERY, TrainConfig, adam_step
+from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_EVERY,
+                                       TrainConfig, adam_step)
 
 
 def toy_den_cfg(variant="series", **over):
@@ -63,11 +65,11 @@ class TestAdam:
         theta, m_ref, v_ref = 0.3, 0.0, 0.0
         for t in range(1, 51):
             g = np.sin(0.7 * t)
-            m_ref = cfg.adam_beta1 * m_ref + (1 - cfg.adam_beta1) * g
-            v_ref = cfg.adam_beta2 * v_ref + (1 - cfg.adam_beta2) * g * g
-            m_hat = m_ref / (1 - cfg.adam_beta1 ** t)
-            v_hat = v_ref / (1 - cfg.adam_beta2 ** t)
-            theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            m_ref = ADAM_BETA1 * m_ref + (1 - ADAM_BETA1) * g
+            v_ref = ADAM_BETA2 * v_ref + (1 - ADAM_BETA2) * g * g
+            m_hat = m_ref / (1 - ADAM_BETA1 ** t)
+            v_hat = v_ref / (1 - ADAM_BETA2 ** t)
+            theta -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             adam_step(params, {"w": np.array([g])}, m, v, t, cfg)
             assert params["w"][0] == pytest.approx(theta, abs=1e-15)
 
@@ -127,8 +129,8 @@ class TestAdam:
 
 class TestTrainConfig:
     def test_validation(self):
-        for kw in (dict(batch_size=0), dict(lr=0.0), dict(adam_beta1=1.0),
-                   dict(grad_clip=-1.0), dict(iterations=0)):
+        for kw in (dict(batch_size=0), dict(lr=0.0), dict(grad_clip=-1.0),
+                   dict(iterations=0)):
             with pytest.raises(ConfigError):
                 TrainConfig(**kw)
 
@@ -348,16 +350,63 @@ class TestCheckpointIO:
         lambda m: m["tensors"][0].update(offset="0"),
         lambda m: m["tensors"][0].update(crc32=None),
         lambda m: m["tensors"][0].update(name=7),
+        lambda m: m.update(rng_state="bogus"),
+        lambda m: m["rng_state"].update(bit_generator="MT19937"),
+        lambda m: m["rng_state"].pop("has_uint32"),
+        lambda m: m["rng_state"]["state"].update(state=-1),
+        lambda m: m["rng_state"]["state"].update(inc=None),
     ], ids=["no-tensors", "config-key-missing", "config-value-type",
             "schedule-extra-key", "schedule-bad-value", "no-rng-state",
             "iteration-not-int", "iteration-negative", "tensors-not-list",
             "entry-not-object", "entry-no-shape", "entry-negative-shape",
-            "entry-offset-string", "entry-crc-null", "entry-name-not-string"])
+            "entry-offset-string", "entry-crc-null", "entry-name-not-string",
+            "rng-state-not-object", "rng-state-other-generator",
+            "rng-state-key-missing", "rng-state-negative", "rng-state-inc-null"])
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         _, path, _ = self.trained_checkpoint(tmp_path)
         self.edit_manifest(path, mutate)
         with pytest.raises(IntegrityError):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("mean, std", [
+        (np.zeros(5), np.array([1.0, 0.0, 1.0, 1.0, 1.0])),
+        (np.zeros(5), np.array([1.0, 1.0, np.nan, 1.0, 1.0])),
+        (np.zeros(5), np.array([1.0, 1.0, 1.0, np.inf, 1.0])),
+        (np.zeros(5), -np.ones(5)),
+        (np.array([0.0, 0.0, 0.0, 0.0, np.nan]), np.ones(5)),
+        (np.zeros(4), np.ones(4)),
+        (np.zeros(5), np.ones(6)),
+    ], ids=["std-zero", "std-nan", "std-inf", "std-negative", "mean-nan",
+            "length-not-dim", "std-length-not-dim"])
+    def test_malformed_normalizer_is_integrity_error(self, tmp_path, mean, std):
+        result, path, _ = self.trained_checkpoint(tmp_path)
+        result.checkpoint.normalizer = md.Normalizer(mean=mean, std=std)
+        md.save_checkpoint(result.checkpoint, path)
+        with pytest.raises(IntegrityError, match="normalizer"):
+            md.load_checkpoint(path)
+
+    def test_checkpoint_with_key_biases_loads(self, tmp_path):
+        # files written before the key projections lost their bias carry
+        # param./adam_m./adam_v. entries for spat.bk and temp.bk
+        result, path, cfg = self.trained_checkpoint(tmp_path)
+        blob = path.read_bytes()
+        nl = blob.index(b"\n")
+        manifest, payload = json.loads(blob[:nl]), blob[nl + 1:]
+        for group in ("param", "adam_m", "adam_v"):
+            for layer in ("spat", "temp"):
+                raw = np.full(cfg.model_dim, 1e-15, dtype="<f8").tobytes()
+                manifest["tensors"].append({
+                    "name": f"{group}.{layer}.bk", "shape": [cfg.model_dim],
+                    "offset": len(payload), "crc32": zlib.crc32(raw)})
+                payload += raw
+        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() +
+                         b"\n" + payload)
+        loaded = md.load_checkpoint(path, expect_denoiser=cfg)
+        assert set(loaded.params) == set(md.param_shapes(cfg))
+        for name, arr in result.checkpoint.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+            np.testing.assert_array_equal(loaded.adam_v[name],
+                                          result.checkpoint.adam_v[name])
 
     @pytest.mark.parametrize("line", [b"[1, 2]", b'"CKPT1"', b"null"])
     def test_manifest_must_be_an_object(self, tmp_path, line):
