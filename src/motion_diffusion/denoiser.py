@@ -8,13 +8,12 @@ runs spatial attention then temporal attention; the parallel variant
 runs both branches on the encoded input and fuses their two scalar maps
 with a learned per-position 2 -> 1 kernel.
 
-Attention is bidirectional everywhere: no causal mask.  Both layers
-hand `numerics.attention` a 4-D array whose two leading axes are batch
-axes.  Spatial attention runs on the (B, S, D, C) features as they are:
-the D scalar pose parameters are tokens, and the batch and the S frames
-ride the batch axes.  Temporal attention runs on the (B, D, S, C)
-transpose: the frames are tokens, and the batch and the D pose
-parameters ride the batch axes.
+Attention is bidirectional everywhere: no causal mask.  The features
+keep one (B, S, D, C) layout from the input lift to the readout; both
+layers run one encoder layer, told which axis holds the tokens, and
+every other axis but the channels is a batch axis.  Spatial attention
+attends over the D scalar pose parameters (axis -2), temporal attention
+over the S frames (axis -3), and neither copies the features.
 
 Noise is predicted for the L future frames only.  The T observed frames
 are keys and values of temporal attention and nothing else: its queries,
@@ -204,11 +203,11 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _attention(x, leaves, prefix: str, n_heads: int, start: int = 0):
-    """Pre-norm multi-head attention block on (..., S, C) tokens.
+def _attention(x, leaves, prefix: str, n_heads: int, axis: int, start: int = 0):
+    """Pre-norm multi-head attention block over the tokens on `axis` of x.
 
     Every token is a key and a value; only tokens `start..S` are queries,
-    and only their (..., S - start, C) rows are returned.
+    and only their rows are returned, cut from x on the same axis.
     """
     h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
     # no key bias: it adds the same q.b to every score of a query row,
@@ -216,12 +215,11 @@ def _attention(x, leaves, prefix: str, n_heads: int, start: int = 0):
     k = nm.linear(h, leaves[f"{prefix}.wk"])
     v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
     if start:
-        axis = x.data.ndim - 2
         rows = x.data.shape[axis] - start
         h = nm.narrow(h, axis=axis, start=start, length=rows)
         x = nm.narrow(x, axis=axis, start=start, length=rows)
     q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
-    ctx = nm.attention(q, k, v, n_heads)
+    ctx = nm.attention(q, k, v, n_heads, axis)
     return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
 
 
@@ -232,24 +230,14 @@ def _feedforward(x, leaves, prefix: str):
     return nm.add(x, h)
 
 
-def _encoder_layer(tokens, leaves, prefix: str, n_heads: int, start: int = 0):
-    """Attention then feedforward over axis -2 of (..., S, C) tokens.
+def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, start: int = 0):
+    """Attention over `axis` of the (B, S, D, C) features, then feedforward.
 
-    Returns the rows of tokens `start..S`.
+    Axis -2 is the spatial layer, axis -3 the temporal one.  Returns the
+    rows of tokens `start..` on `axis`.
     """
-    return _feedforward(_attention(tokens, leaves, prefix, n_heads, start),
+    return _feedforward(_attention(feat, leaves, prefix, n_heads, axis, start),
                         leaves, prefix)
-
-
-def _temporal_layer(feat, leaves, n_heads: int, start: int):
-    """Attend across the frames; batch and pose parameters ride the batch axes.
-
-    All S frames are keys and values; frames `start..S` are the queries,
-    so the result is (B, S - start, D, C).
-    """
-    tokens = _encoder_layer(nm.transpose(feat, (0, 2, 1, 3)), leaves, "temp",
-                            n_heads, start)
-    return nm.transpose(tokens, (0, 2, 1, 3))
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
@@ -278,14 +266,14 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
     feat = nm.add(feat, step)
 
     if cfg.variant == "series":
-        feat = _encoder_layer(feat, leaves, "spat", cfg.n_heads)
-        feat = _temporal_layer(feat, leaves, cfg.n_heads, start=t)
+        feat = _encoder_layer(feat, leaves, "spat", cfg.n_heads, axis=-2)
+        feat = _encoder_layer(feat, leaves, "temp", cfg.n_heads, axis=-3, start=t)
         y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, L, D, 1)
     else:
         future = nm.narrow(feat, axis=1, start=t, length=l)
-        ya = nm.linear(_encoder_layer(future, leaves, "spat", cfg.n_heads),
+        ya = nm.linear(_encoder_layer(future, leaves, "spat", cfg.n_heads, axis=-2),
                        leaves["out_s_w"], leaves["out_s_b"])
-        yb = nm.linear(_temporal_layer(feat, leaves, cfg.n_heads, start=t),
+        yb = nm.linear(_encoder_layer(feat, leaves, "temp", cfg.n_heads, axis=-3, start=t),
                        leaves["out_t_w"], leaves["out_t_b"])
         stacked = nm.concat([ya, yb], axis=-1)                    # (B, L, D, 2)
         y = nm.linear(stacked, leaves["fuse_w"], leaves["fuse_b"])

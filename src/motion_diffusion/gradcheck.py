@@ -126,7 +126,7 @@ def check_ops(seed: int = 0, points: int = 10,
                lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"]), wl)),
                {"x": lx, "w": lw})
         # two heads of width 2 over 3 tokens, two leading batch axes as in
-        # the spatial and temporal layers
+        # the spatial layer
         qkv = {name: rng.normal(size=(2, 2, 3, 4)) for name in ("q", "k", "v")}
         wa = rng.normal(size=(2, 2, 3, 4))
         record("attention",
@@ -139,6 +139,12 @@ def check_ops(seed: int = 0, points: int = 10,
         record("attention_cross",
                lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wx)),
                cross)
+        # the temporal layer's layout: tokens on axis -3, two queries over three keys
+        frames = {"q": rng.normal(size=(2, 2, 3, 4)), "k": rng.normal(size=(2, 3, 3, 4)),
+                  "v": rng.normal(size=(2, 3, 3, 4))}
+        wf = rng.normal(size=(2, 2, 3, 4))
+        record("attention_axis3", lambda t: nm.sum_all(
+            nm.mul(nm.attention(t["q"], t["k"], t["v"], 2, axis=-3), wf)), frames)
 
         record("relu", lambda t: nm.sum_all(nm.mul(nm.relu(t["a"]), w)),
                {"a": a + 0.05})  # nudge off the kink where FD is invalid

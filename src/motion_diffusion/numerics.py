@@ -14,6 +14,8 @@ skip recording.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericsError
@@ -183,9 +185,9 @@ def _softmax_inplace(x):
     return x
 
 
-def _heads(a, n_heads):
-    """(..., S, C) -> (..., H, S, C/H) strided view of the per-head channel slices."""
-    return np.swapaxes(a.reshape(*a.shape[:-1], n_heads, a.shape[-1] // n_heads), -2, -3)
+def _heads(a, n_heads, axis):
+    """(..., H, S, C/H) strided view of the head slices of a, whose S tokens lie on `axis`."""
+    return np.moveaxis(a.reshape(*a.shape[:-1], n_heads, -1), axis - 1, -2)
 
 
 # Backward kernels live at module level so diagnostics (and the
@@ -212,20 +214,21 @@ def _linear_backward_w(g2, x2):
     return x2.T @ g2
 
 
-def _attention_backward(g, q, k, v, p, n_heads, factor):
-    """Gradients of `attention` wrt q (..., Sq, C) and k, v (..., S, C).
+def _attention_backward(g, q, k, v, p, n_heads, factor, axis):
+    """Gradients of `attention` wrt q (Sq tokens) and k, v (S tokens) on `axis`.
 
     `p` holds the forward's softmax probabilities, (..., H, Sq, S); every
     head-gradient product writes straight into its buffer, which has the
     shape of the input it belongs to.
     """
-    gh = _heads(g, n_heads)
+    heads = partial(_heads, n_heads=n_heads, axis=axis)
+    gh = heads(g)
     gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
-    np.matmul(np.swapaxes(p, -1, -2), gh, out=_heads(gv, n_heads))
-    gs = _softmax_backward(np.matmul(gh, np.swapaxes(_heads(v, n_heads), -1, -2)), p)
+    np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
+    gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v), -1, -2)), p)
     gs *= factor
-    np.matmul(gs, _heads(k, n_heads), out=_heads(gq, n_heads))
-    np.matmul(np.swapaxes(gs, -1, -2), _heads(q, n_heads), out=_heads(gk, n_heads))
+    np.matmul(gs, heads(k), out=heads(gq))
+    np.matmul(np.swapaxes(gs, -1, -2), heads(q), out=heads(gk))
     return gq, gk, gv
 
 
@@ -367,40 +370,42 @@ def linear(x, w, b=None) -> Tensor:
     return _emit("linear", out.reshape(*xsh[:-1], n), inputs, make)
 
 
-def attention(q, k, v, n_heads: int) -> Tensor:
+def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
     """Multi-head scaled dot-product attention of Sq queries over S keys.
 
-    q is (..., Sq, C); k and v are (..., S, C) with the same leading
-    batch axes (at least one); the output is (..., Sq, C).  Head h
-    attends with channel slice h of width hd = C / n_heads:
-    softmax(q_h k_h^T / sqrt(hd)) v_h, bidirectional (no mask).  Heads
-    are strided views of the inputs, never copies, and each head's
-    context is written straight into the output.  The pullback reuses
-    the kept probabilities.
+    The tokens lie on `axis` (-2, -3, ...) and the channels on the last
+    axis; every other axis is a batch axis, at least one of them before
+    `axis`.  q holds Sq tokens and k, v hold S, all other extents equal;
+    the output has the shape of q.  Head h attends with channel slice h
+    of width hd = C / n_heads: softmax(q_h k_h^T / sqrt(hd)) v_h,
+    bidirectional (no mask).  Heads are strided views of the inputs, never
+    copies, and each head's context is written straight into the output.
+    The pullback reuses the kept probabilities.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    shape = q.data.shape
-    kshape = k.data.shape
-    if (len(shape) < 3 or len(kshape) != len(shape) or v.data.shape != kshape
-            or shape[:-2] != kshape[:-2] or shape[-1] != kshape[-1]):
+    shape, kshape = q.data.shape, k.data.shape
+    if (not -len(shape) < axis < -1 or len(kshape) != len(shape) or v.data.shape != kshape
+            or shape[:axis] + shape[axis + 1:] != kshape[:axis] + kshape[axis + 1:]):
         raise DimensionError(
-            f"attention needs q (..., Sq, C) and k, v (..., S, C), got "
+            f"attention needs q and k, v that differ only on token axis {axis}, which "
+            f"lies after the first axis and before the channels; got "
             f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
     if n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")
     factor = 1.0 / np.sqrt(shape[-1] // n_heads)
     qd, kd, vd = q.data, k.data, v.data
-    scores = np.matmul(_heads(qd, n_heads), np.swapaxes(_heads(kd, n_heads), -1, -2))
+    heads = partial(_heads, n_heads=n_heads, axis=axis)
+    scores = np.matmul(heads(qd), np.swapaxes(heads(kd), -1, -2))
     scores *= factor
     if not np.all(np.isfinite(scores)):
         raise NumericsError("op 'attention' produced a non-finite score")
     p = _softmax_inplace(scores)
     out = np.empty(shape)
-    np.matmul(p, _heads(vd, n_heads), out=_heads(out, n_heads))
+    np.matmul(p, heads(vd), out=heads(out))
 
     def make(need):
         def pull(g):
-            return _attention_backward(g, qd, kd, vd, p, n_heads, factor)
+            return _attention_backward(g, qd, kd, vd, p, n_heads, factor, axis)
         return pull
 
     return _emit("attention", out, [q, k, v], make)

@@ -86,7 +86,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 class Checkpoint:
     """A full training snapshot; arrays are private copies."""
 
-    version: int
     denoiser_config: DenoiserConfig
     schedule: NoiseSchedule
     normalizer: Normalizer | None
@@ -106,8 +105,7 @@ def _snapshot(den_cfg: DenoiserConfig, sched: NoiseSchedule,
               m: dict, v: dict, iteration: int,
               rng: np.random.Generator) -> Checkpoint:
     return Checkpoint(
-        version=CKPT_VERSION, denoiser_config=den_cfg, schedule=sched,
-        normalizer=normalizer,
+        denoiser_config=den_cfg, schedule=sched, normalizer=normalizer,
         params={k: a.copy() for k, a in model.params.items()},
         adam_m={k: a.copy() for k, a in m.items()},
         adam_v={k: a.copy() for k, a in v.items()},
@@ -237,7 +235,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         chunks.append(raw)
         offset += len(raw)
     manifest = {
-        "version": ckpt.version,
+        "version": CKPT_VERSION,
         "denoiser_config": ckpt.denoiser_config.to_dict(),
         "schedule": {"k_steps": ckpt.schedule.k_steps,
                      "beta_min": ckpt.schedule.beta_min,
@@ -340,6 +338,6 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
             raise IntegrityError("normalizer needs a finite mean and a finite, positive std")
         normalizer = Normalizer(mean=mean, std=std)
-    return Checkpoint(version=CKPT_VERSION, denoiser_config=den_cfg, schedule=sched,
+    return Checkpoint(denoiser_config=den_cfg, schedule=sched,
                       normalizer=normalizer, params=params, adam_m=m_mom,
                       adam_v=v_mom, iteration=iteration, rng_state=rng_state)

@@ -465,7 +465,7 @@ class TestGradcheckCmd:
         assert "PASS" in text and "FAIL" not in text
         assert "matmul" in text and "layer_norm" in text
         assert "linear" in text and "attention" in text
-        assert "attention_cross" in text
+        assert "attention_cross" in text and "attention_axis3" in text
         assert "series" in text and "parallel" in text
         assert "PASS" in capsys.readouterr().out
 

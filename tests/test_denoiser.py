@@ -377,6 +377,18 @@ class TestMatchesReferenceForward:
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("variant, records", [("series", 38), ("parallel", 42)])
+def test_training_step_tape_records(variant, records):
+    # both layers attend in the (B, S, D, C) layout: no transposed copies
+    cfg = toy_config(variant)
+    tape = nm.Tape()
+    batch_noise_loss(init_denoiser(cfg, seed=2), tape, *random_batch(cfg, 3, seed=4),
+                     build_schedule(cfg.k_steps, 0.001, 0.333))
+    names = [rec.name for rec in tape.records]
+    assert len(names) == records
+    assert "transpose" not in names
+
+
 @pytest.mark.parametrize("t_obs, l_pred, dim, model_dim",
                          [(1, 2, 6, 8), (2, 3, 3, 8), (1, 5, 3, 16)])
 @pytest.mark.parametrize("variant", ["series", "parallel"])
@@ -398,10 +410,21 @@ class TestEncoderLayer:
         model = init_denoiser(toy_config("series"), seed=6)
         leaves = model.bind(None)
         tokens = rng.normal(size=(2, 6, 16))
-        out = dn._encoder_layer(nm.constant(tokens), leaves, "spat", 2).data
+        out = dn._encoder_layer(nm.constant(tokens), leaves, "spat", 2, axis=-2).data
         perm = rng.permutation(6)
         out_p = dn._encoder_layer(nm.constant(tokens[:, perm]), leaves,
-                                  "spat", 2).data
+                                  "spat", 2, axis=-2).data
+        np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
+
+    def test_frame_permutation_equivariance(self, rng):
+        # the temporal layer's tokens are the frames on axis -3 of (B, S, D, C)
+        model = init_denoiser(toy_config("series"), seed=6)
+        leaves = model.bind(None)
+        feat = rng.normal(size=(2, 6, 3, 16))
+        out = dn._encoder_layer(nm.constant(feat), leaves, "temp", 2, axis=-3).data
+        perm = rng.permutation(6)
+        out_p = dn._encoder_layer(nm.constant(feat[:, perm]), leaves,
+                                  "temp", 2, axis=-3).data
         np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
     def test_residual_path_preserves_scale(self, rng):
@@ -409,7 +432,7 @@ class TestEncoderLayer:
         model = init_denoiser(toy_config("series"), seed=6)
         leaves = model.bind(None)
         tokens = rng.normal(size=(2, 6, 16))
-        out = dn._encoder_layer(nm.constant(tokens), leaves, "temp", 2).data
+        out = dn._encoder_layer(nm.constant(tokens), leaves, "temp", 2, axis=-2).data
         assert np.abs(out - tokens).max() < 10.0
 
 

@@ -159,37 +159,45 @@ class TestFusedOpsMatchComposition:
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("layer", ["spatial", "temporal"])
     def test_attention(self, rng, n, layer):
-        # the layers' token arrays: (B, S, D, C) spatial, (B, D, S, C) temporal
-        shape = ((n, ORACLE_S, ORACLE_D, ORACLE_C) if layer == "spatial"
-                 else (n, ORACLE_D, ORACLE_S, ORACLE_C))
+        # the (B, S, D, C) features with the D pose parameters as tokens
+        # (spatial, axis -2) or the S frames (temporal, axis -3)
+        shape = (n, ORACLE_S, ORACLE_D, ORACLE_C)
         arrays = {name: rng.normal(size=shape) for name in "qkv"}
         weight = rng.normal(size=shape)
-        fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
-                                arrays, weight)
-        composed = value_and_grads(
-            lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
-        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
-        for name in arrays:
-            np.testing.assert_allclose(fused[1][name], composed[1][name],
-                                       rtol=1e-12, atol=1e-12, err_msg=name)
+        self.check_against_oracle(arrays, weight, -2 if layer == "spatial" else -3)
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_attention_future_queries(self, rng, n):
         # the temporal layer: the L future frames query all S frames
-        arrays = {"q": rng.normal(size=(n, ORACLE_D, ORACLE_L, ORACLE_C)),
-                  "k": rng.normal(size=(n, ORACLE_D, ORACLE_S, ORACLE_C)),
-                  "v": rng.normal(size=(n, ORACLE_D, ORACLE_S, ORACLE_C))}
-        weight = rng.normal(size=(n, ORACLE_D, ORACLE_L, ORACLE_C))
-        fused = value_and_grads(lambda t: nm.attention(t["q"], t["k"], t["v"], 2),
-                                arrays, weight)
-        composed = value_and_grads(
-            lambda t: composed_attention(t["q"], t["k"], t["v"], 2), arrays, weight)
-        assert fused[0].shape == (n, ORACLE_D, ORACLE_L, ORACLE_C)
-        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+        arrays = {"q": rng.normal(size=(n, ORACLE_L, ORACLE_D, ORACLE_C)),
+                  "k": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C)),
+                  "v": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C))}
+        weight = rng.normal(size=(n, ORACLE_L, ORACLE_D, ORACLE_C))
+        fused = self.check_against_oracle(arrays, weight, -3)
+        assert fused[0].shape == (n, ORACLE_L, ORACLE_D, ORACLE_C)
         for name in arrays:
             assert fused[1][name].shape == arrays[name].shape, name
+
+    @staticmethod
+    def check_against_oracle(arrays, weight, axis):
+        """Values and gradients of `attention` over 4-D inputs within 1e-12.
+
+        The oracle runs on the inputs with their tokens moved to axis -2.
+        """
+        swap = (0, 2, 1, 3) if axis == -3 else (0, 1, 2, 3)
+
+        def oracle(t):
+            moved = [nm.transpose(t[name], swap) for name in "qkv"]
+            return nm.transpose(composed_attention(*moved, 2), swap)
+
+        fused = value_and_grads(
+            lambda t: nm.attention(t["q"], t["k"], t["v"], 2, axis=axis), arrays, weight)
+        composed = value_and_grads(oracle, arrays, weight)
+        np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
+        for name in arrays:
             np.testing.assert_allclose(fused[1][name], composed[1][name],
                                        rtol=1e-12, atol=1e-12, err_msg=name)
+        return fused
 
     def test_one_head_is_plain_softmax_attention(self, rng):
         q, k, v = (rng.normal(size=(1, 4, 3)) for _ in range(3))
@@ -222,6 +230,13 @@ class TestFusedOpsMatchComposition:
                 ((2, 4), (5, 4), (5, 4))]:           # no batch axis at all
             with pytest.raises(DimensionError):
                 nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(v_shape), 2)
+        for q_shape, k_shape, axis in [
+                ((2, 3, 4), (2, 3, 4), -1),             # tokens on the channel axis
+                ((3, 2, 4), (5, 2, 4), -3),             # no batch axis before the tokens
+                ((2, 2, 3, 4), (2, 3, 5, 4), -3)]:      # q and k differ on a batch axis
+            with pytest.raises(DimensionError):
+                nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(k_shape), 2,
+                             axis=axis)
 
     def test_attention_non_finite_score_rejected(self):
         big = np.full((1, 2, 2), 1e200)
@@ -325,7 +340,8 @@ def test_every_op_matches_finite_differences():
 
 
 def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
-    # negative control for the attention_cross entry: a 1% error in gk alone
+    # negative control for the entries with fewer queries than keys: a 1%
+    # error in gk alone
     true_kernel = nm._attention_backward
 
     def corrupted(*args):
@@ -335,6 +351,7 @@ def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
     monkeypatch.setattr(nm, "_attention_backward", corrupted)
     errors = check_ops(seed=0, points=1)
     assert errors["attention_cross"] > 1e-4
+    assert errors["attention_axis3"] > 1e-4
     assert errors["linear"] < 1e-4
 
 
