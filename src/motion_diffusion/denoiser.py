@@ -262,8 +262,7 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
     feat = nm.add(nm.mul(nm.constant(cells), leaves["in_w"]), leaves["in_b"])
     feat = nm.add(feat, nm.constant(positional_encoding(s, c)[:, None, :]))
     feat = nm.add(feat, nm.constant(positional_encoding(d, c)))
-    step = nm.reshape(nm.take_rows(leaves["step_emb"], ks), (b, 1, 1, c))
-    feat = nm.add(feat, step)
+    feat = nm.add(feat, nm.take_rows(leaves["step_emb"], ks[:, None, None]))
 
     if cfg.variant == "series":
         feat = _encoder_layer(feat, leaves, "spat", cfg.n_heads, axis=-2)

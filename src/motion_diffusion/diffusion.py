@@ -99,14 +99,23 @@ def _check_same_shape(name_a: str, a: np.ndarray, name_b: str, b: np.ndarray) ->
         raise DimensionError(f"{name_a} shape {a.shape} != {name_b} shape {b.shape}")
 
 
-def forward_noise(x0: np.ndarray, k: int, eps: np.ndarray,
+def forward_noise(x0: np.ndarray, k, eps: np.ndarray,
                   sched: NoiseSchedule) -> np.ndarray:
-    """Closed-form corruption: sqrt(alpha_k) x0 + sqrt(1 - alpha_k) eps."""
-    sched._check_step(k)
+    """Closed-form corruption: sqrt(alpha_k) x0 + sqrt(1 - alpha_k) eps.
+
+    k is one step for all of x0, or a (B,) array of one step per batch
+    item for x0 of shape (B, ...).
+    """
+    ks = np.asarray(k, dtype=np.intp)
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
+    if ks.ndim > 1 or (ks.ndim == 1 and ks.shape != x0.shape[:1]):
+        raise ContractError(f"k must be one diffusion step or one per batch item, "
+                            f"got shape {ks.shape} for x0 of shape {x0.shape}")
+    for step in ks.flat:
+        sched._check_step(int(step))
     _check_same_shape("x0", x0, "eps", eps)
-    a = sched.alpha(k)
+    a = sched.alphas[ks].reshape(ks.shape + (1,) * (x0.ndim - ks.ndim))
     return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
 
 
@@ -155,13 +164,7 @@ def batch_noise_loss(model, tape: nm.Tape | None, p_obs: np.ndarray,
     None).  The loss is mean-reduced over every batch entry so the
     learning-rate default transfers across pose dimensions.
     """
-    ks = np.asarray(ks, dtype=np.intp)
-    if ks.ndim != 1 or ks.shape[0] != p_gt.shape[0]:
-        raise ContractError("ks must be one diffusion step per batch item")
-    for k in ks:
-        sched._check_step(int(k))
-    a = sched.alphas[ks][:, None, None]
-    x_k = np.sqrt(a) * p_gt + np.sqrt(1.0 - a) * eps
+    x_k = forward_noise(p_gt, ks, eps, sched)
     leaves = model.bind(tape)
     eps_hat = model.forward_batch(leaves, p_obs, x_k, ks)
     resid = nm.sub(nm.constant(eps), eps_hat)

@@ -179,6 +179,12 @@ def check_ops(seed: int = 0, points: int = 10,
         record("take_rows",
                lambda t: nm.sum_all(nm.mul(nm.take_rows(t["a"], idx), wr)),
                {"a": a})
+        # a 2-D index, as the step embedding is gathered
+        idx2 = rng.integers(0, 3, size=(2, 3))
+        wr2 = rng.normal(size=(2, 3, 4))
+        record("take_rows_2d",
+               lambda t: nm.sum_all(nm.mul(nm.take_rows(t["a"], idx2), wr2)),
+               {"a": a})
         record("sum_all", lambda t: nm.sum_all(t["a"]), {"a": a})
         record("mean_all", lambda t: nm.mean_all(t["a"]), {"a": a})
     return worst

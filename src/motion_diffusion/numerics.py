@@ -2,10 +2,12 @@
 
 Every value is a C-contiguous float64 numpy array wrapped in a `Tensor`.
 Ops are free functions: they compute with numpy, verify the result is
-finite (NaN/Inf is an error state, not a value), and append a pullback
-record to the tape any of their inputs live on.  A tape is built fresh
-for every training step; `backward` walks the records once, in reverse
-creation order, which is a valid reverse topological order by
+finite (NaN/Inf is an error state, not a value), and hand `_emit` a
+pullback closure, which it records on the tape any of their inputs live
+on.  A pullback maps the output gradient to one gradient per input,
+constant inputs included; `backward` drops those of constants.  A tape is
+built fresh for every training step; `backward` walks the records once, in
+reverse creation order, which is a valid reverse topological order by
 construction.
 
 Inference never touches a tape: wrap inputs with `constant` and the ops
@@ -59,8 +61,8 @@ class _Record:
     """One taped op: output node, input nodes, and the pullback closure.
 
     `pullback(g)` maps the output gradient to one gradient per input,
-    aligned with `in_ids`; positions with `in_ids[i] is None` (constant
-    inputs) may be returned as None.
+    aligned with `in_ids`; `backward` drops the gradients at positions
+    whose `in_ids[i]` is None (constant inputs).
     """
 
     __slots__ = ("name", "out_id", "in_ids", "pullback")
@@ -77,7 +79,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
-        self.param_ids: list[int] = []
         self._next_id = 0
 
     def _new_id(self) -> int:
@@ -87,9 +88,7 @@ class Tape:
 
     def param(self, x) -> Tensor:
         """Register a parameter leaf; `backward` reports its gradient."""
-        t = Tensor(as_array(x), self, self._new_id())
-        self.param_ids.append(t.node_id)
-        return t
+        return Tensor(as_array(x), self, self._new_id())
 
     def gradients(self, loss: Tensor, named: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """Run backward and key the parameter gradients by name."""
@@ -104,9 +103,10 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every parameter leaf on the tape.
 
-    Visits each record exactly once, in reverse creation order.  Returns
-    a map node_id -> gradient for the parameter leaves that the loss
-    actually depends on; constants never appear.
+    Visits each record exactly once, in reverse creation order, and pops
+    its output's gradient.  What is left is a map node_id -> gradient for
+    the parameter leaves that the loss actually depends on: only
+    `Tape.param` creates leaves, and constants never appear.
     """
     if loss.tape is not tape:
         raise ContractError("loss tensor does not belong to this tape")
@@ -118,14 +118,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         g = grads.pop(rec.out_id, None)
         if g is None:
             continue
-        gins = rec.pullback(g)
-        for in_id, gin in zip(rec.in_ids, gins):
-            if in_id is None or gin is None:
-                continue
-            acc = grads.get(in_id)
-            grads[in_id] = gin if acc is None else acc + gin
-    param_ids = set(tape.param_ids)
-    return {nid: g for nid, g in grads.items() if nid in param_ids}
+        for in_id, gin in zip(rec.in_ids, rec.pullback(g)):
+            if in_id is not None:
+                acc = grads.get(in_id)
+                grads[in_id] = gin if acc is None else acc + gin
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +146,10 @@ def _find_tape(tensors) -> Tape | None:
     return tape
 
 
-def _emit(name: str, out_data: np.ndarray, inputs: list[Tensor], make_pullback) -> Tensor:
-    """Finite-check the result; record a pullback if any input is taped.
+def _emit(name: str, out_data: np.ndarray, inputs: list[Tensor], pullback) -> Tensor:
+    """Finite-check the result; record `pullback` if any input is taped.
 
-    `make_pullback` is called lazily (only when taping) with the list of
-    per-input need-gradient flags and must return the pullback closure.
+    `pullback(g)` returns one gradient per input, in the order of `inputs`.
     """
     if not np.all(np.isfinite(out_data)):
         raise NumericsError(f"op '{name}' produced a non-finite value")
@@ -162,8 +158,7 @@ def _emit(name: str, out_data: np.ndarray, inputs: list[Tensor], make_pullback) 
         return Tensor(out_data)
     out = Tensor(out_data, tape, tape._new_id())
     in_ids = [t.node_id if t.tape is not None else None for t in inputs]
-    need = [nid is not None for nid in in_ids]
-    tape.records.append(_Record(name, out.node_id, in_ids, make_pullback(need)))
+    tape.records.append(_Record(name, out.node_id, in_ids, pullback))
     return out
 
 
@@ -251,13 +246,10 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
     ash, bsh = a.data.shape, b.data.shape
 
-    def make(need):
-        def pull(g):
-            return (_unbroadcast(g, ash) if need[0] else None,
-                    _unbroadcast(g, bsh) if need[1] else None)
-        return pull
+    def pull(g):
+        return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
-    return _emit("add", out, [a, b], make)
+    return _emit("add", out, [a, b], pull)
 
 
 def sub(a, b) -> Tensor:
@@ -265,13 +257,10 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
     ash, bsh = a.data.shape, b.data.shape
 
-    def make(need):
-        def pull(g):
-            return (_unbroadcast(g, ash) if need[0] else None,
-                    _unbroadcast(-g, bsh) if need[1] else None)
-        return pull
+    def pull(g):
+        return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
-    return _emit("sub", out, [a, b], make)
+    return _emit("sub", out, [a, b], pull)
 
 
 def mul(a, b) -> Tensor:
@@ -279,13 +268,10 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
     ad, bd = a.data, b.data
 
-    def make(need):
-        def pull(g):
-            return (_unbroadcast(g * bd, ad.shape) if need[0] else None,
-                    _unbroadcast(g * ad, bd.shape) if need[1] else None)
-        return pull
+    def pull(g):
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return _emit("mul", out, [a, b], make)
+    return _emit("mul", out, [a, b], pull)
 
 
 def scale(a, s: float) -> Tensor:
@@ -293,12 +279,10 @@ def scale(a, s: float) -> Tensor:
     s = float(s)
     out = a.data * s
 
-    def make(need):
-        def pull(g):
-            return (g * s,)
-        return pull
+    def pull(g):
+        return (g * s,)
 
-    return _emit("scale", out, [a], make)
+    return _emit("scale", out, [a], pull)
 
 
 def matmul(a, b) -> Tensor:
@@ -316,14 +300,11 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
     ad, bd = a.data, b.data
 
-    def make(need):
-        def pull(g):
-            ga = _unbroadcast(_matmul_backward_a(g, bd), ad.shape) if need[0] else None
-            gb = _unbroadcast(_matmul_backward_b(g, ad), bd.shape) if need[1] else None
-            return (ga, gb)
-        return pull
+    def pull(g):
+        return (_unbroadcast(_matmul_backward_a(g, bd), ad.shape),
+                _unbroadcast(_matmul_backward_b(g, ad), bd.shape))
 
-    return _emit("matmul", out, [a, b], make)
+    return _emit("matmul", out, [a, b], pull)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -354,20 +335,16 @@ def linear(x, w, b=None) -> Tensor:
     out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True) if n == 1 else x2 @ wd
     if b is not None:
         out += b.data
-
-    # the pullback reads len(need), not b: a taped tensor held by a record
+    # the pullback captures a bool, not b: a taped tensor held by a record
     # would tie the tape into a reference cycle
-    def make(need):
-        def pull(g):
-            g2 = g.reshape(-1, n)
-            grads = (_linear_backward_x(g2, wd).reshape(xsh) if need[0] else None,
-                     _linear_backward_w(g2, x2) if need[1] else None)
-            if len(need) == 3:
-                grads += (g2.sum(axis=0) if need[2] else None,)
-            return grads
-        return pull
+    has_bias = b is not None
 
-    return _emit("linear", out.reshape(*xsh[:-1], n), inputs, make)
+    def pull(g):
+        g2 = g.reshape(-1, n)
+        grads = (_linear_backward_x(g2, wd).reshape(xsh), _linear_backward_w(g2, x2))
+        return grads + (g2.sum(axis=0),) if has_bias else grads
+
+    return _emit("linear", out.reshape(*xsh[:-1], n), inputs, pull)
 
 
 def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
@@ -403,12 +380,10 @@ def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
     out = np.empty(shape)
     np.matmul(p, heads(vd), out=heads(out))
 
-    def make(need):
-        def pull(g):
-            return _attention_backward(g, qd, kd, vd, p, n_heads, factor, axis)
-        return pull
+    def pull(g):
+        return _attention_backward(g, qd, kd, vd, p, n_heads, factor, axis)
 
-    return _emit("attention", out, [q, k, v], make)
+    return _emit("attention", out, [q, k, v], pull)
 
 
 def relu(a) -> Tensor:
@@ -416,12 +391,10 @@ def relu(a) -> Tensor:
     out = np.maximum(a.data, 0.0)
     ad = a.data
 
-    def make(need):
-        def pull(g):
-            return (_relu_backward(g, ad),)
-        return pull
+    def pull(g):
+        return (_relu_backward(g, ad),)
 
-    return _emit("relu", out, [a], make)
+    return _emit("relu", out, [a], pull)
 
 
 def softmax_rows(a) -> Tensor:
@@ -433,12 +406,10 @@ def softmax_rows(a) -> Tensor:
     a = _coerce(a)
     y = _softmax_inplace(a.data.copy())
 
-    def make(need):
-        def pull(g):
-            return (_softmax_backward(g, y),)
-        return pull
+    def pull(g):
+        return (_softmax_backward(g, y),)
 
-    return _emit("softmax_rows", y, [a], make)
+    return _emit("softmax_rows", y, [a], pull)
 
 
 def layer_norm(a, gain, bias) -> Tensor:
@@ -461,15 +432,11 @@ def layer_norm(a, gain, bias) -> Tensor:
     out = y * gain.data + bias.data
     gdata = gain.data
 
-    def make(need):
-        def pull(g):
-            gx = _layer_norm_backward_x(g, gdata, y, inv) if need[0] else None
-            ggain = (g * y).reshape(-1, n).sum(axis=0) if need[1] else None
-            gbias = g.reshape(-1, n).sum(axis=0) if need[2] else None
-            return (gx, ggain, gbias)
-        return pull
+    def pull(g):
+        return (_layer_norm_backward_x(g, gdata, y, inv),
+                (g * y).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
 
-    return _emit("layer_norm", out, [a, gain, bias], make)
+    return _emit("layer_norm", out, [a, gain, bias], pull)
 
 
 def reshape(a, shape) -> Tensor:
@@ -477,12 +444,10 @@ def reshape(a, shape) -> Tensor:
     out = np.ascontiguousarray(a.data.reshape(shape))
     ash = a.data.shape
 
-    def make(need):
-        def pull(g):
-            return (g.reshape(ash),)
-        return pull
+    def pull(g):
+        return (g.reshape(ash),)
 
-    return _emit("reshape", out, [a], make)
+    return _emit("reshape", out, [a], pull)
 
 
 def transpose(a, axes) -> Tensor:
@@ -491,12 +456,10 @@ def transpose(a, axes) -> Tensor:
     out = np.ascontiguousarray(a.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
 
-    def make(need):
-        def pull(g):
-            return (np.ascontiguousarray(g.transpose(inverse)),)
-        return pull
+    def pull(g):
+        return (np.ascontiguousarray(g.transpose(inverse)),)
 
-    return _emit("transpose", out, [a], make)
+    return _emit("transpose", out, [a], pull)
 
 
 def concat(parts, axis: int) -> Tensor:
@@ -504,23 +467,12 @@ def concat(parts, axis: int) -> Tensor:
     if not parts:
         raise ContractError("concat of zero arrays")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    extents = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + extents)
+    splits = np.cumsum([p.data.shape[axis] for p in parts[:-1]])
 
-    def make(need):
-        def pull(g):
-            gs = []
-            for i in range(len(extents)):
-                if not need[i]:
-                    gs.append(None)
-                    continue
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offsets[i], offsets[i + 1])
-                gs.append(np.ascontiguousarray(g[tuple(idx)]))
-            return tuple(gs)
-        return pull
+    def pull(g):
+        return [np.ascontiguousarray(gp) for gp in np.split(g, splits, axis=axis)]
 
-    return _emit("concat", out, parts, make)
+    return _emit("concat", out, parts, pull)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -536,35 +488,32 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     out = np.ascontiguousarray(a.data[idx])
     ash = a.data.shape
 
-    def make(need):
-        def pull(g):
-            z = np.zeros(ash)
-            z[idx] = g
-            return (z,)
-        return pull
+    def pull(g):
+        z = np.zeros(ash)
+        z[idx] = g
+        return (z,)
 
-    return _emit("narrow", out, [a], make)
+    return _emit("narrow", out, [a], pull)
 
 
 def take_rows(a, indices) -> Tensor:
-    """Gather rows (axis 0) by an integer index array."""
+    """Gather rows (axis 0) by an integer index array of any shape.
+
+    The output has shape `indices.shape + a.shape[1:]`.
+    """
     a = _coerce(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("take_rows expects a 1-D index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise DimensionError("take_rows index out of range")
     out = np.ascontiguousarray(a.data[idx])
     ash = a.data.shape
 
-    def make(need):
-        def pull(g):
-            z = np.zeros(ash)
-            np.add.at(z, idx, g)
-            return (z,)
-        return pull
+    def pull(g):
+        z = np.zeros(ash)
+        np.add.at(z, idx, g)
+        return (z,)
 
-    return _emit("take_rows", out, [a], make)
+    return _emit("take_rows", out, [a], pull)
 
 
 def sum_all(a) -> Tensor:
@@ -572,12 +521,10 @@ def sum_all(a) -> Tensor:
     out = np.asarray(a.data.sum())
     ash = a.data.shape
 
-    def make(need):
-        def pull(g):
-            return (np.broadcast_to(g, ash).copy(),)
-        return pull
+    def pull(g):
+        return (np.broadcast_to(g, ash).copy(),)
 
-    return _emit("sum_all", out, [a], make)
+    return _emit("sum_all", out, [a], pull)
 
 
 def mean_all(a) -> Tensor:
@@ -586,9 +533,7 @@ def mean_all(a) -> Tensor:
     ash = a.data.shape
     n = a.data.size
 
-    def make(need):
-        def pull(g):
-            return (np.broadcast_to(g / n, ash).copy(),)
-        return pull
+    def pull(g):
+        return (np.broadcast_to(g / n, ash).copy(),)
 
-    return _emit("mean_all", out, [a], make)
+    return _emit("mean_all", out, [a], pull)

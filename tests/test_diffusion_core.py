@@ -151,6 +151,21 @@ class TestForwardNoise:
         with pytest.raises(DimensionError):
             md.forward_noise(np.zeros((2, 3)), 1, np.zeros((3, 2)), s)
 
+    def test_one_step_per_batch_item(self, rng):
+        s = md.build_schedule(10, 0.01, 0.3)
+        x0, eps = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+        ks = np.array([1, 7, 10])
+        got = md.forward_noise(x0, ks, eps, s)
+        for i, k in enumerate(ks):
+            np.testing.assert_array_equal(got[i], md.forward_noise(x0[i], k, eps[i], s))
+
+    def test_step_array_contract(self, rng):
+        s = md.build_schedule(5, 0.01, 0.3)
+        x = rng.normal(size=(3, 2))
+        for ks in ([1, 2], [[1], [2], [3]], [1, 6, 2], [0, 1, 2]):
+            with pytest.raises(ContractError):
+                md.forward_noise(x, np.array(ks), x, s)
+
 
 class TestMuTheta:
     def test_zero_eps_hat(self, rng):
@@ -251,6 +266,15 @@ class TestLoss:
         lt_p, _ = batch_noise_loss(model, None, obs[perm], gt[perm], ks[perm],
                                    eps[perm], s)
         assert float(lt.data) == pytest.approx(float(lt_p.data), rel=1e-15)
+
+
+    def test_eps_must_have_the_batch_shape(self, rng):
+        # one (L, D) noise draw for a (B, L, D) batch is an error, not a broadcast
+        s = md.build_schedule(6, 0.02, 0.3)
+        obs, gt = rng.normal(size=(4, 3, 6)), rng.normal(size=(4, 5, 6))
+        with pytest.raises(DimensionError):
+            batch_noise_loss(zero_model(), None, obs, gt, np.array([1, 3, 5, 2]),
+                             rng.standard_normal((5, 6)), s)
 
 
 class TestSamplers:

@@ -2,6 +2,7 @@
 determinism, and the error contract."""
 
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -329,6 +330,65 @@ class TestBackward:
         sched = build_schedule(5, 0.001, 0.333)
         for probe in probe_loss_gradients(model, sched, seed=4, n_probes=4):
             assert probe.rel_err < 1e-4, probe
+
+
+# op -> (builder over named inputs, input shapes)
+PROTOCOL_CASES = {
+    "add": (lambda t: nm.add(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+    "sub": (lambda t: nm.sub(t["a"], t["b"]), {"a": (3, 4), "b": (3, 4)}),
+    "mul": (lambda t: nm.mul(t["a"], t["b"]), {"a": (3, 4), "b": (3, 1)}),
+    "matmul": (lambda t: nm.matmul(t["a"], t["b"]), {"a": (2, 3, 4), "b": (4, 2)}),
+    "linear": (lambda t: nm.linear(t["x"], t["w"], t["b"]),
+               {"x": (2, 3, 4), "w": (4, 5), "b": (5,)}),
+    "linear_no_bias": (lambda t: nm.linear(t["x"], t["w"]), {"x": (2, 3, 4), "w": (4, 5)}),
+    "layer_norm": (lambda t: nm.layer_norm(t["a"], t["g"], t["b"]),
+                   {"a": (3, 4), "g": (4,), "b": (4,)}),
+    "concat": (lambda t: nm.concat([t["a"], t["b"]], axis=-1), {"a": (3, 2), "b": (3, 4)}),
+    "attention": (lambda t: nm.attention(t["q"], t["k"], t["v"], 2, axis=-3),
+                  {"q": (2, 2, 3, 4), "k": (2, 3, 3, 4), "v": (2, 3, 3, 4)}),
+}
+
+
+@pytest.mark.parametrize("op", sorted(PROTOCOL_CASES))
+def test_constant_inputs_get_no_gradient(rng, op):
+    # pullbacks return a gradient for every input; backward drops those of
+    # constants and leaves the taped inputs' gradients bit for bit as they are
+    build, shapes = PROTOCOL_CASES[op]
+    arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    weight = rng.normal(size=build({k: nm.constant(v) for k, v in arrays.items()}).shape)
+
+    def grads(taped):
+        tape = nm.Tape()
+        t = {k: tape.param(v) if k in taped else nm.constant(v) for k, v in arrays.items()}
+        by_id = nm.backward(tape, nm.sum_all(nm.mul(build(t), weight)))
+        assert set(by_id) == {t[k].node_id for k in taped}
+        return {k: by_id[t[k].node_id] for k in taped}
+
+    every = grads(set(arrays))
+    for const in arrays:
+        for name, g in grads(set(arrays) - {const}).items():
+            assert g.tobytes() == every[name].tobytes(), (const, name)
+
+
+def test_backward_returns_exactly_the_reached_leaves(rng):
+    # no intermediate id, and no leaf that is unused or feeds a dead branch
+    tape = nm.Tape()
+    a, b, unused, dead = (tape.param(rng.normal(size=(3,))) for _ in range(4))
+    nm.mul(dead, a)   # a record the loss does not reach
+    h = nm.relu(nm.add(nm.mul(a, b), nm.constant(np.ones(3))))
+    by_id = nm.backward(tape, nm.sum_all(nm.mul(h, h)))
+    assert set(by_id) == {a.node_id, b.node_id}
+
+
+def test_every_tensor_op_has_a_finite_difference_entry():
+    # every op the module exports gets a check_ops entry named after it
+    ops = [name for name, fn in vars(nm).items()
+           if inspect.isfunction(fn) and not name.startswith("_") and name != "constant"
+           and fn.__module__ == nm.__name__ and fn.__annotations__.get("return") == "Tensor"]
+    keys = check_ops(seed=0, points=1)
+    assert len(ops) >= 17
+    for op in ops:
+        assert any(key == op or key.startswith(op + "_") for key in keys), op
 
 
 def test_every_op_matches_finite_differences():
