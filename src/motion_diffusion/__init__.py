@@ -32,7 +32,7 @@ from .motion_data import (MotionSequence, Normalizer, PredictionTask,
                           fit_normalizer, load_dataset, load_manifest,
                           load_motion_file, save_manifest, save_motion_file,
                           split_sequences, synth_dataset, window_split)
-from .numerics import Tape, Tensor, as_array, constant
+from .numerics import Tape, Tensor, constant
 from .training import (Checkpoint, TrainConfig, TrainResult, adam_step,
                        load_checkpoint, save_checkpoint, train)
 

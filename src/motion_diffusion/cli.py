@@ -9,7 +9,7 @@ fully resolved configuration; runs with identical manifests produce
 identical primary outputs.
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or
-configuration error.
+configuration error, including a path that cannot be read.
 """
 
 from __future__ import annotations
@@ -230,6 +230,9 @@ def write_run_manifest(run_dir: str, command: str, resolved: dict) -> None:
 
 def _dataset_tasks(cfg: dict, manifest_path: str):
     """Load sequences, window them, and split train/val by sequence."""
+    for key in ("t_obs", "l_pred", "stride"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     seqs = load_dataset(manifest_path)
     if not seqs:
         raise ConfigError(f"dataset manifest {manifest_path!r} lists no sequences")
@@ -290,13 +293,13 @@ def cmd_train(cfg: dict) -> int:
         grad_clip=cfg["grad_clip"])
     sched = build_schedule(cfg["k_steps"], cfg["beta_min"], cfg["beta_max"])
 
-    start = None
     if cfg["resume"]:
         start = load_checkpoint(cfg["resume"], expect_denoiser=den_cfg)
         normalizer = start.normalizer
     else:
-        normalizer = fit_normalizer(train_tasks)
-    norm_tasks = [normalizer.apply_task(t) for t in train_tasks]
+        start, normalizer = None, fit_normalizer(train_tasks)
+    norm = _task_normalizer(normalizer, den_cfg.dim)
+    norm_tasks = [norm.apply_task(t) for t in train_tasks]
 
     run_dir = make_run_dir(cfg["out"], "train")
     write_run_manifest(run_dir, "train", cfg)
@@ -318,6 +321,11 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _task_normalizer(normalizer: Normalizer | None, dim: int) -> Normalizer:
+    """A checkpoint's normalizer; one saved without it means the identity."""
+    return normalizer or Normalizer(np.zeros(dim), np.ones(dim))
+
+
 def _task_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1)[0])
 
@@ -328,6 +336,8 @@ def cmd_sample(cfg: dict) -> int:
                           f"got {cfg['mode']!r}")
     if cfg["split"] not in ("train", "val", "all"):
         raise ConfigError(f"split must be train, val or all, got {cfg['split']!r}")
+    if cfg["n"] < 1:
+        raise ConfigError(f"n must be >= 1, got {cfg['n']}")
     ckpt = load_checkpoint(cfg["checkpoint"])
     den_cfg = ckpt.denoiser_config
     if (cfg["t_obs"], cfg["l_pred"]) != (den_cfg.t_obs, den_cfg.l_pred):
@@ -346,7 +356,7 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError("no tasks to sample for the requested split")
 
     model = ckpt.build_model()
-    norm = ckpt.normalizer or Normalizer(np.zeros(den_cfg.dim), np.ones(den_cfg.dim))
+    norm = _task_normalizer(ckpt.normalizer, den_cfg.dim)
     run_dir = make_run_dir(cfg["out"], "sample")
     write_run_manifest(run_dir, "sample", cfg)
     print(f"run directory: {run_dir}")
@@ -365,16 +375,15 @@ def cmd_sample(cfg: dict) -> int:
             write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
             entry["gt"] = "gt.mseq"
         if cfg["mode"] == "deterministic":
-            pred = norm.invert(sample_deterministic(model, obs_n, ckpt.schedule))
-            write_seq(os.path.join(task_dir, "det.mseq"), pred)
-            entry["files"].append("det.mseq")
+            futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
+            names = ["det.mseq"]
         else:
-            sset = sample_stochastic(model, obs_n, cfg["n"],
-                                     _task_seed(cfg["seed"], i), ckpt.schedule)
-            for j in range(sset.n_samples):
-                name = f"sample_{j:03d}.mseq"
-                write_seq(os.path.join(task_dir, name), norm.invert(sset.samples[j]))
-                entry["files"].append(name)
+            futures = sample_stochastic(model, obs_n, cfg["n"],
+                                        _task_seed(cfg["seed"], i), ckpt.schedule).samples
+            names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
+        for name, future in zip(names, futures):
+            write_seq(os.path.join(task_dir, name), norm.invert(future))
+            entry["files"].append(name)
         index.append(entry)
 
     with open(os.path.join(run_dir, "samples_manifest.json"), "w") as fh:
@@ -543,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         resolved = resolve_config(args.command, args)
         return _HANDLERS[args.command](resolved)
-    except (ConfigError, ParseError, FileNotFoundError, NotADirectoryError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContractError, DimensionError, IntegrityError, NumericsError,

@@ -26,7 +26,7 @@ frames alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,9 +63,7 @@ class DenoiserConfig:
             raise ConfigError("model_dim must be even for sinusoidal encodings")
 
     def to_dict(self) -> dict:
-        return {"variant": self.variant, "model_dim": self.model_dim,
-                "n_heads": self.n_heads, "t_obs": self.t_obs,
-                "l_pred": self.l_pred, "dim": self.dim, "k_steps": self.k_steps}
+        return asdict(self)
 
 
 def _layer_shapes(prefix: str, c: int) -> dict[str, tuple]:

@@ -3,8 +3,8 @@
 The forward process corrupts a clean future motion x0 into x^k in closed
 form; the reverse process walks k = K..1 with a learned noise predictor
 conditioned on the observed motion.  One trained model serves both
-sampling modes: stochastic (seeded Gaussian start and step noise) and
-deterministic (zero start, zero step noise).
+sampling modes through one reverse loop over a noise array: stochastic
+(seeded Gaussian start and step noise) and deterministic (all zeros).
 
 All sampling operates in normalized pose space; denormalization is the
 caller's step.
@@ -21,20 +21,21 @@ from .errors import ConfigError, ContractError, DimensionError, SamplingDiverged
 from .metrics import SampleSet
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NoiseSchedule:
     """Noise-level tables for K diffusion steps.
 
     beta holds beta_k for k = 1..K (zero-based storage); alpha holds the
     cumulative products alpha_k for k = 0..K with alpha_0 = 1, so the
-    step-1 reverse variance is exactly zero.
+    step-1 reverse variance is exactly zero.  Two schedules are equal
+    when (k_steps, beta_min, beta_max) are, since those fix the tables.
     """
 
     k_steps: int
     beta_min: float
     beta_max: float
-    betas: np.ndarray = field(repr=False)
-    alphas: np.ndarray = field(repr=False)
+    betas: np.ndarray = field(repr=False, compare=False)
+    alphas: np.ndarray = field(repr=False, compare=False)
 
     def beta(self, k: int) -> float:
         self._check_step(k)
@@ -131,20 +132,18 @@ def mu_theta(x_k: np.ndarray, k: int, eps_hat: np.ndarray,
 
 
 def reverse_step(x_k: np.ndarray, k: int, eps_hat: np.ndarray,
-                 z: np.ndarray | None, sched: NoiseSchedule) -> np.ndarray:
-    """One reverse transition: mu_theta plus sigma(k)-scaled noise.
+                 z: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
+    """One reverse transition: mu_theta plus sigma(k) z; z = 0 is deterministic.
 
     Shape-agnostic: x_k, eps_hat and z may be one (L, D) state or a
-    batch (N, L, D); the sampler calls it on the whole batch.
-
-    At k = 1 the variance is exactly zero, so z is ignored entirely
-    (avoids any 0 * non-finite hazard).
+    batch (N, L, D).  At k = 1 the variance is exactly zero, so z is
+    ignored entirely (avoids any 0 * non-finite hazard).
     """
     mean = mu_theta(x_k, k, eps_hat, sched)
-    if k == 1 or z is None:
-        return mean
     z = np.asarray(z, dtype=np.float64)
     _check_same_shape("x_k", x_k, "z", z)
+    if k == 1:
+        return mean
     return mean + sched.sigma(k) * z
 
 
@@ -176,29 +175,25 @@ def batch_noise_loss(model, tape: nm.Tape | None, p_obs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _sample_streams(seed: int, n_samples: int) -> list[np.random.Generator]:
-    # One stream per sample, derived from (seed, index): results do not
-    # depend on batching or thread scheduling.
-    return [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            for i in range(n_samples)]
-
-
-def _reverse_loop(model, p_obs: np.ndarray, x: np.ndarray,
-                  streams: list[np.random.Generator] | None,
+def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
                   sched: NoiseSchedule) -> np.ndarray:
-    """Run k = K..1 on a batch of states x (N, L, D); None streams = zero noise."""
-    n = x.shape[0]
+    """Run k = K..1 on N chains from their noise array (N, K, L, D).
+
+    Slice 0 of a chain's noise is its start state x_K; slice j >= 1 is
+    z_{K+1-j}, the noise added at step K+1-j.  Step 1 adds no noise.
+    """
+    n, k_steps = noise.shape[0], sched.k_steps
+    x = noise[:, 0]
+    p_obs = np.asarray(p_obs, dtype=np.float64)
     obs = np.broadcast_to(p_obs, (n,) + p_obs.shape)
     ks = np.empty(n, dtype=np.intp)
-    for k in range(sched.k_steps, 0, -1):
+    for k in range(k_steps, 0, -1):
         ks[:] = k
         eps_hat = model.eval_batch(obs, x, ks)
         if not np.all(np.isfinite(eps_hat)):
             raise SamplingDivergedError("denoiser output is non-finite", step=k)
-        z = None
-        if k > 1 and streams is not None:
-            z = np.stack([st.standard_normal(x.shape[1:]) for st in streams])
-        x = reverse_step(x, k, eps_hat, z, sched)
+        # step 1 ignores z; (K+1-k) % K hands it slice 0 for the shape check
+        x = reverse_step(x, k, eps_hat, noise[:, (k_steps + 1 - k) % k_steps], sched)
         if not np.all(np.isfinite(x)):
             raise SamplingDivergedError("reverse state is non-finite", step=k)
     return x
@@ -208,27 +203,21 @@ def sample_stochastic(model, p_obs: np.ndarray, n_samples: int, seed: int,
                       sched: NoiseSchedule, fps: float | None = None) -> SampleSet:
     """Draw n_samples future motions for one observation.
 
-    Each sample starts from its own seeded N(0, I) state and receives
-    fresh step noise down to k = 2 (step 1 is noiseless).  Same seed,
-    same samples, bit for bit.
+    Sample i's noise (x_K, then z_K..z_2) is one standard_normal((K, L, D))
+    draw from the stream of (seed, i): sample i does not depend on
+    n_samples, and the same seed gives the same samples, bit for bit.
     """
     if n_samples < 1:
         raise ContractError(f"n_samples must be >= 1, got {n_samples}")
-    l_pred, dim = model.pred_shape
-    streams = _sample_streams(seed, n_samples)
-    x = np.stack([st.standard_normal((l_pred, dim)) for st in streams])
-    x = _reverse_loop(model, np.asarray(p_obs, dtype=np.float64), x, streams, sched)
-    return SampleSet(samples=x, ground_truth=None, fps=fps)
+    shape = (sched.k_steps,) + model.pred_shape
+    noise = np.stack([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        .standard_normal(shape) for i in range(n_samples)])
+    return SampleSet(samples=_reverse_loop(model, p_obs, noise, sched), fps=fps)
 
 
 def sample_deterministic(model, p_obs: np.ndarray,
                          sched: NoiseSchedule) -> np.ndarray:
-    """One fixed prediction: zero initial state, zero noise at every step.
-
-    Identical to the stochastic sampler with its random stream replaced
-    by zeros; a pure function of (model, p_obs).
-    """
-    l_pred, dim = model.pred_shape
-    x = np.zeros((1, l_pred, dim))
-    x = _reverse_loop(model, np.asarray(p_obs, dtype=np.float64), x, None, sched)
-    return x[0]
+    """One fixed prediction: the stochastic reverse loop with zero noise."""
+    noise = np.zeros((1, sched.k_steps) + model.pred_shape)
+    return _reverse_loop(model, p_obs, noise, sched)[0]

@@ -32,20 +32,22 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), ERROR_FLOOR)
 
 
+def _difference_at(f, x: np.ndarray, i: int, step: float) -> float:
+    """Central difference of scalar f() in element i of x, which f reads."""
+    orig = x.flat[i]
+    x.flat[i] = orig + step
+    hi = f()
+    x.flat[i] = orig - step
+    lo = f()
+    x.flat[i] = orig
+    return (hi - lo) / (2.0 * step)
+
+
 def central_difference(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Gradient of scalar f at x, one central difference per element."""
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(x)
-        flat[i] = orig - step
-        lo = f(x)
-        flat[i] = orig
-        grad.ravel()[i] = (hi - lo) / (2.0 * step)
-    return grad
+    return np.array([_difference_at(lambda: f(x), x, i, step)
+                     for i in range(x.size)]).reshape(x.shape)
 
 
 def _check_inputs(build_loss, arrays: dict[str, np.ndarray],
@@ -228,13 +230,7 @@ def probe_loss_gradients(model, sched, seed: int, n_probes: int = 8,
         name = names[rng.integers(0, len(names))]
         arr = model.params[name]
         idx = int(rng.integers(0, arr.size))
-        orig = arr.flat[idx]
-        arr.flat[idx] = orig + step
-        hi = loss_value()
-        arr.flat[idx] = orig - step
-        lo = loss_value()
-        arr.flat[idx] = orig
-        numeric = (hi - lo) / (2.0 * step)
+        numeric = _difference_at(loss_value, arr, idx, step)
         analytic = float(grads[name].flat[idx])
         results.append(ProbeResult(name, idx, analytic, numeric,
                                    relative_error(analytic, numeric)))

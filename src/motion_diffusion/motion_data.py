@@ -94,10 +94,6 @@ class PredictionTask:
             object.__setattr__(self, "p_gt", gt)
 
     @property
-    def n_obs(self) -> int:
-        return self.p_obs.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.p_obs.shape[1]
 

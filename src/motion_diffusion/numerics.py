@@ -25,7 +25,7 @@ from .errors import ContractError, DimensionError, NumericsError
 LAYER_NORM_EPS = 1e-5
 
 
-def as_array(x) -> np.ndarray:
+def _as_array(x) -> np.ndarray:
     """Coerce to a C-contiguous float64 array and verify finiteness."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
@@ -54,7 +54,7 @@ class Tensor:
 
 def constant(x) -> Tensor:
     """Wrap a value as an off-tape constant (no gradient flows into it)."""
-    return Tensor(as_array(x))
+    return Tensor(_as_array(x))
 
 
 class _Record:
@@ -88,7 +88,7 @@ class Tape:
 
     def param(self, x) -> Tensor:
         """Register a parameter leaf; `backward` reports its gradient."""
-        return Tensor(as_array(x), self, self._new_id())
+        return Tensor(_as_array(x), self, self._new_id())
 
     def gradients(self, loss: Tensor, named: dict[str, Tensor]) -> dict[str, np.ndarray]:
         """Run backward and key the parameter gradients by name."""

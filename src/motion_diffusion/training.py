@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,9 +52,7 @@ class TrainConfig:
             raise ConfigError("grad_clip must be >= 0")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "batch_size", "iterations", "lr", "seed", "checkpoint_every",
-            "grad_clip")}
+        return asdict(self)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -113,6 +111,11 @@ def _snapshot(den_cfg: DenoiserConfig, sched: NoiseSchedule,
         rng_state=json.loads(json.dumps(rng.bit_generator.state)))
 
 
+def _same_normalizer(a: Normalizer, b: Normalizer | None) -> bool:
+    return (b is not None and np.array_equal(a.mean, b.mean)
+            and np.array_equal(a.std, b.std))
+
+
 @dataclass(frozen=True)
 class TrainResult:
     model: DenoiserModel
@@ -130,7 +133,9 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     Every iteration draws batch indices, per-item steps k in 1..K and
     fresh noise from the root stream, then applies one Adam update.
     Pass a Checkpoint as `start` to resume: the continuation is bit
-    identical to an uninterrupted run with the same configs.  On
+    identical to an uninterrupted run with the same configs.  A resumed
+    run keeps the checkpoint's schedule and normalizer; `sched` must
+    match it, and `normalizer` must be omitted or equal to it.  On
     divergence (non-finite or exploding loss) the raised error carries
     the last good checkpoint.
     """
@@ -162,6 +167,12 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     else:
         if start.denoiser_config != den_cfg:
             raise ConfigError("checkpoint denoiser config does not match")
+        if start.schedule != sched:
+            raise ConfigError(f"checkpoint schedule {start.schedule} != requested {sched}")
+        if normalizer is None:
+            normalizer = start.normalizer
+        elif not _same_normalizer(normalizer, start.normalizer):
+            raise ConfigError("normalizer differs from the checkpoint's normalizer")
         if start.iteration > tr_cfg.iterations:
             raise ConfigError(
                 f"checkpoint is at iteration {start.iteration}, past the target "

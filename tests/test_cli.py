@@ -203,6 +203,29 @@ class TestTrainCmd:
                      "--resume", checkpoint]) == 2
         assert "past the target" in capsys.readouterr().err
 
+    def test_resume_without_normalizer_reaches_target(self, tmp_path, dataset,
+                                                      checkpoint):
+        # a checkpoint written by `md.train` without `normalizer=`
+        bare = md.load_checkpoint(checkpoint)
+        bare.normalizer = None
+        path = str(tmp_path / "bare.ckpt")
+        md.save_checkpoint(bare, path)
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out), "--data", dataset,
+                     "--iterations", "33", "--seed", "4", *TRAIN_ARGS,
+                     "--resume", path]) == 0
+        ckpt = md.load_checkpoint(os.path.join(only_run_dir(out, "train"),
+                                               "checkpoint.ckpt"))
+        assert ckpt.iteration == 33
+        assert ckpt.normalizer is None
+
+    def test_resume_with_another_schedule_exits_2(self, tmp_path, dataset,
+                                                  checkpoint, capsys):
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
+                     "--iterations", "33", "--seed", "4", *TRAIN_ARGS,
+                     "--beta-max", "0.2", "--resume", checkpoint]) == 2
+        assert "schedule" in capsys.readouterr().err
+
     def test_divergence_exits_1_with_last_good_checkpoint(self, tmp_path,
                                                           dataset, capsys):
         out = tmp_path / "d"
@@ -508,6 +531,35 @@ class TestAllocatorPin:
         monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
         assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "2",
                      "--n-sequences", "1", "--frames", "10"]) == 0
+
+
+# each builds argv from (a directory, the dataset manifest, the checkpoint)
+BAD_PATHS_AND_COUNTS = {
+    "export-input-is-dir": lambda d, data, ckpt: ["export", "--input", d],
+    "train-data-is-dir": lambda d, data, ckpt: [
+        "train", "--data", d, "--iterations", "1", *TRAIN_ARGS],
+    "sample-checkpoint-is-dir": lambda d, data, ckpt: [
+        "sample", "--checkpoint", d, "--data", data, *WINDOW_ARGS],
+    "sample-n-0": lambda d, data, ckpt: [
+        "sample", "--checkpoint", ckpt, "--data", data, *WINDOW_ARGS, "--n", "0"],
+    "train-stride-0": lambda d, data, ckpt: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--stride", "0"],
+    "train-t-obs-0": lambda d, data, ckpt: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--t-obs", "0"],
+    "train-l-pred-0": lambda d, data, ckpt: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--l-pred", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS_AND_COUNTS))
+def test_bad_path_or_count_exits_2(tmp_path, dataset, checkpoint, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = BAD_PATHS_AND_COUNTS[case](str(folder), dataset, checkpoint)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestExportCmd:

@@ -331,6 +331,25 @@ class TestSamplers:
             x = md.mu_theta(x, k, eh, s)
         assert np.array_equal(det, x[0])
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_noise_layout_is_one_draw_per_sample(self, j):
+        # sample j's x_K and then z_K..z_2 are one standard_normal((K, L, D))
+        # draw from the stream of (seed, j); step 1 adds no noise
+        k_steps, seed = 6, 21
+        s = md.build_schedule(k_steps, 0.02, 0.3)
+        model = StubModel(5, 6, lambda o, x, k: 0.1 * np.tanh(x) + 0.01 * k[:, None, None])
+        obs = np.zeros((3, 6))
+        got = md.sample_stochastic(model, obs, 4, seed=seed, sched=s).samples[j]
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
+        draw = stream.standard_normal((k_steps, 5, 6))
+        x, zs = draw[0], list(draw[1:])
+        for k in range(k_steps, 0, -1):
+            x = md.mu_theta(x, k, model.fn(obs[None], x[None], np.full(1, k))[0], s)
+            if k > 1:
+                x = x + s.sigma(k) * zs.pop(0)
+        assert zs == []
+        np.testing.assert_array_equal(got, x)
+
     def test_divergence_reports_step(self):
         s = md.build_schedule(6, 0.02, 0.3)
 

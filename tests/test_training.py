@@ -191,6 +191,42 @@ class TestTrainLoop:
             np.testing.assert_array_equal(again.model.params[name],
                                           ten.model.params[name])
 
+    def test_resume_keeps_the_checkpoint_normalizer(self):
+        cfg = toy_den_cfg()
+        tasks = toy_tasks(cfg)
+        norm = md.fit_normalizer(tasks)
+        tr = TrainConfig(batch_size=4, iterations=6, lr=1e-3, seed=7,
+                         checkpoint_every=3)
+        first = md.train(tasks, cfg, tr, toy_sched(cfg), normalizer=norm)
+        tr_more = TrainConfig(**{**tr.to_dict(), "iterations": 9})
+        equal = md.Normalizer(mean=norm.mean.copy(), std=norm.std.copy())
+        for passed in (None, equal):
+            cont = md.train(tasks, cfg, tr_more, toy_sched(cfg),
+                            normalizer=passed, start=first.checkpoint)
+            np.testing.assert_array_equal(cont.checkpoint.normalizer.mean, norm.mean)
+            np.testing.assert_array_equal(cont.checkpoint.normalizer.std, norm.std)
+
+    @pytest.mark.parametrize("with_norm", [True, False], ids=["other", "unexpected"])
+    def test_resume_with_a_different_normalizer_rejected(self, with_norm):
+        cfg = toy_den_cfg()
+        tasks = toy_tasks(cfg)
+        tr = TrainConfig(batch_size=4, iterations=3, lr=1e-3, seed=7)
+        first = md.train(tasks, cfg, tr, toy_sched(cfg),
+                         normalizer=md.fit_normalizer(tasks) if with_norm else None)
+        other = md.fit_normalizer(toy_tasks(cfg, seed=1))
+        tr_more = TrainConfig(**{**tr.to_dict(), "iterations": 6})
+        with pytest.raises(ConfigError, match="normalizer"):
+            md.train(tasks, cfg, tr_more, toy_sched(cfg), normalizer=other,
+                     start=first.checkpoint)
+
+    @pytest.mark.parametrize("bounds", [(0.02, 0.2), (0.01, 0.3)])
+    def test_resume_with_a_different_schedule_rejected(self, bounds):
+        ten, cfg, tr, tasks = quick_train(iterations=10, seed=5)
+        tr20 = TrainConfig(**{**tr.to_dict(), "iterations": 20})
+        with pytest.raises(ConfigError, match="schedule"):
+            md.train(tasks, cfg, tr20, md.build_schedule(cfg.k_steps, *bounds),
+                     start=ten.checkpoint)
+
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_every_tensor_gets_gradient_signal(self, variant):
         cfg = toy_den_cfg(variant)
