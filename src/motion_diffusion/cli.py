@@ -32,11 +32,11 @@ from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      TrainingDivergedError, UndefinedMetricError)
 from .gradcheck import run_suite
 from .metrics import SampleSet, compute_report, write_report_csv
-from .motion_data import (MotionSequence, Normalizer, fit_normalizer,
-                          load_dataset, load_motion_file, read_json,
-                          save_manifest, save_motion_file, split_sequences,
+from .motion_data import (MotionSequence, fit_normalizer, load_dataset, load_motion_file,
+                          read_json, save_manifest, save_motion_file, split_sequences,
                           synth_dataset, window_split)
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import (TrainConfig, initial_checkpoint, load_checkpoint,
+                       save_checkpoint, train)
 
 BUILD_ID = f"motion-diffusion/{__version__}"
 
@@ -219,7 +219,7 @@ def make_run_dir(base: str, command: str) -> str:
 def write_run_manifest(run_dir: str, command: str, resolved: dict) -> None:
     manifest = {
         "command": command,
-        "config": {k: v for k, v in resolved.items()},
+        "config": dict(resolved),
         "seed": resolved.get("seed"),
         "build": BUILD_ID,
     }
@@ -289,41 +289,37 @@ def cmd_train(cfg: dict) -> int:
         k_steps=cfg["k_steps"])
     tr_cfg = TrainConfig(
         batch_size=cfg["batch_size"], iterations=cfg["iterations"], lr=cfg["lr"],
-        seed=cfg["seed"], checkpoint_every=cfg["checkpoint_every"],
-        grad_clip=cfg["grad_clip"])
+        checkpoint_every=cfg["checkpoint_every"], grad_clip=cfg["grad_clip"])
     sched = build_schedule(cfg["k_steps"], cfg["beta_min"], cfg["beta_max"])
 
     if cfg["resume"]:
-        start = load_checkpoint(cfg["resume"], expect_denoiser=den_cfg)
-        normalizer = start.normalizer
+        start = load_checkpoint(cfg["resume"])
+        cfg = {**cfg, "seed": None}  # the stream continues from the checkpoint
+        if start.denoiser_config.dim != den_cfg.dim:
+            raise ConfigError(f"dataset dimension {den_cfg.dim} != checkpoint "
+                              f"dimension {start.denoiser_config.dim}")
     else:
-        start, normalizer = None, fit_normalizer(train_tasks)
-    norm = _task_normalizer(normalizer, den_cfg.dim)
-    norm_tasks = [norm.apply_task(t) for t in train_tasks]
+        start = initial_checkpoint(den_cfg, sched, fit_normalizer(train_tasks),
+                                   cfg["seed"])
+    norm_tasks = [start.normalizer.apply_task(t) for t in train_tasks]
 
     run_dir = make_run_dir(cfg["out"], "train")
     write_run_manifest(run_dir, "train", cfg)
     ckpt_path = os.path.join(run_dir, "checkpoint.ckpt")
     print(f"run directory: {run_dir}")
     try:
-        result = train(norm_tasks, den_cfg, tr_cfg, sched, normalizer=normalizer,
-                       start=start, log_path=os.path.join(run_dir, "loss_log.csv"))
+        result = train(norm_tasks, den_cfg, tr_cfg, sched, start=start,
+                       log_path=os.path.join(run_dir, "loss_log.csv"))
     except TrainingDivergedError as exc:
-        if exc.checkpoint is not None:
-            save_checkpoint(exc.checkpoint, ckpt_path)
-            print(f"saved last good checkpoint at iteration "
-                  f"{exc.checkpoint.iteration}", file=sys.stderr)
+        save_checkpoint(exc.checkpoint, ckpt_path)
+        print(f"saved last good checkpoint at iteration {exc.checkpoint.iteration}",
+              file=sys.stderr)
         raise
     save_checkpoint(result.checkpoint, ckpt_path)
     print(f"final loss: {result.losses[-1]:.6f}" if result.losses
           else "no iterations run")
     print("wrote checkpoint.ckpt and loss_log.csv")
     return 0
-
-
-def _task_normalizer(normalizer: Normalizer | None, dim: int) -> Normalizer:
-    """A checkpoint's normalizer; one saved without it means the identity."""
-    return normalizer or Normalizer(np.zeros(dim), np.ones(dim))
 
 
 def _task_seed(seed: int, index: int) -> int:
@@ -356,7 +352,6 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError("no tasks to sample for the requested split")
 
     model = ckpt.build_model()
-    norm = _task_normalizer(ckpt.normalizer, den_cfg.dim)
     run_dir = make_run_dir(cfg["out"], "sample")
     write_run_manifest(run_dir, "sample", cfg)
     print(f"run directory: {run_dir}")
@@ -369,7 +364,7 @@ def cmd_sample(cfg: dict) -> int:
     for i, task in enumerate(tasks):
         task_dir = os.path.join(run_dir, f"task_{i:03d}")
         os.makedirs(task_dir)
-        obs_n = norm.apply(task.p_obs)
+        obs_n = ckpt.normalizer.apply(task.p_obs)
         entry = {"index": i, "dir": f"task_{i:03d}", "files": []}
         if task.p_gt is not None:
             write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
@@ -382,7 +377,7 @@ def cmd_sample(cfg: dict) -> int:
                                         _task_seed(cfg["seed"], i), ckpt.schedule).samples
             names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
         for name, future in zip(names, futures):
-            write_seq(os.path.join(task_dir, name), norm.invert(future))
+            write_seq(os.path.join(task_dir, name), ckpt.normalizer.invert(future))
             entry["files"].append(name)
         index.append(entry)
 

@@ -105,16 +105,16 @@ def param_count(config: DenoiserConfig) -> int:
 def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     if name == "step_emb":
         return rng.normal(0.0, STEP_EMB_STD, shape)
-    if name.endswith(("_g",)):
+    if name.endswith("_g"):
         return np.ones(shape)
-    if name.endswith(("_b", ".bq", ".bv", ".bo")) or name == "in_b":
+    if name.endswith(("_b", ".bq", ".bv", ".bo")):
         return np.zeros(shape)
     # weight matrices and the scalar input lift: Glorot uniform
     fan_in = shape[0] if len(shape) == 2 else 1
     fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     w = rng.uniform(-limit, limit, shape)
-    if name.startswith(("out_", "fuse_")) or name == "out_w":
+    if name.startswith(("out_", "fuse_")):
         w *= OUT_HEAD_SCALE
     return w
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, DimensionError, SamplingDivergedError
+from .errors import (ConfigError, ContractError, DimensionError, NumericsError,
+                     SamplingDivergedError)
 from .metrics import SampleSet
 
 
@@ -189,7 +190,11 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
     ks = np.empty(n, dtype=np.intp)
     for k in range(k_steps, 0, -1):
         ks[:] = k
-        eps_hat = model.eval_batch(obs, x, ks)
+        try:
+            eps_hat = model.eval_batch(obs, x, ks)
+        except NumericsError as exc:
+            raise SamplingDivergedError(f"denoiser failed: {exc}", step=k) from exc
+        # a model whose forward does not run through the tape's ops
         if not np.all(np.isfinite(eps_hat)):
             raise SamplingDivergedError("denoiser output is non-finite", step=k)
         # step 1 ignores z; (K+1-k) % K hands it slice 0 for the shape check
@@ -200,7 +205,7 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
 
 
 def sample_stochastic(model, p_obs: np.ndarray, n_samples: int, seed: int,
-                      sched: NoiseSchedule, fps: float | None = None) -> SampleSet:
+                      sched: NoiseSchedule) -> SampleSet:
     """Draw n_samples future motions for one observation.
 
     Sample i's noise (x_K, then z_K..z_2) is one standard_normal((K, L, D))
@@ -213,7 +218,7 @@ def sample_stochastic(model, p_obs: np.ndarray, n_samples: int, seed: int,
     noise = np.stack([
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         .standard_normal(shape) for i in range(n_samples)])
-    return SampleSet(samples=_reverse_loop(model, p_obs, noise, sched), fps=fps)
+    return SampleSet(samples=_reverse_loop(model, p_obs, noise, sched))
 
 
 def sample_deterministic(model, p_obs: np.ndarray,

@@ -32,8 +32,8 @@ class IntegrityError(ValueError):
 class TrainingDivergedError(RuntimeError):
     """Training loss became non-finite or exploded.
 
-    `iteration` is the failing step; `checkpoint` carries the last good
-    training snapshot (None if training never reached one).
+    `iteration` is the failing step.  From `train`, `checkpoint` is the last
+    good training snapshot, at worst the one the run started from.
     """
 
     def __init__(self, message: str, iteration: int, checkpoint=None):

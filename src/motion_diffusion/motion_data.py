@@ -199,6 +199,10 @@ class Normalizer:
     mean: np.ndarray
     std: np.ndarray
 
+    @classmethod
+    def identity(cls, dim: int) -> Normalizer:
+        return cls(np.zeros(dim), np.ones(dim))
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class Checkpoint:
 
     denoiser_config: DenoiserConfig
     schedule: NoiseSchedule
-    normalizer: Normalizer | None
+    normalizer: Normalizer
     params: dict[str, np.ndarray]
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
@@ -98,22 +98,26 @@ class Checkpoint:
                              params={k: v.copy() for k, v in self.params.items()})
 
 
-def _snapshot(den_cfg: DenoiserConfig, sched: NoiseSchedule,
-              normalizer: Normalizer | None, model: DenoiserModel,
-              m: dict, v: dict, iteration: int,
-              rng: np.random.Generator) -> Checkpoint:
+def initial_checkpoint(den_cfg: DenoiserConfig, sched: NoiseSchedule,
+                       normalizer: Normalizer, seed: int) -> Checkpoint:
+    """Iteration 0: `init_denoiser` weights, zero moments, root stream (seed, 1)."""
+    params = init_denoiser(den_cfg, seed).params
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     return Checkpoint(
-        denoiser_config=den_cfg, schedule=sched, normalizer=normalizer,
-        params={k: a.copy() for k, a in model.params.items()},
+        denoiser_config=den_cfg, schedule=sched, normalizer=normalizer, params=params,
+        adam_m={k: np.zeros_like(a) for k, a in params.items()},
+        adam_v={k: np.zeros_like(a) for k, a in params.items()},
+        iteration=0, rng_state=bits.state)
+
+
+def _snapshot(start: Checkpoint, model: DenoiserModel, m: dict, v: dict,
+              iteration: int, rng: np.random.Generator) -> Checkpoint:
+    return replace(
+        start, params={k: a.copy() for k, a in model.params.items()},
         adam_m={k: a.copy() for k, a in m.items()},
         adam_v={k: a.copy() for k, a in v.items()},
         iteration=iteration,
         rng_state=json.loads(json.dumps(rng.bit_generator.state)))
-
-
-def _same_normalizer(a: Normalizer, b: Normalizer | None) -> bool:
-    return (b is not None and np.array_equal(a.mean, b.mean)
-            and np.array_equal(a.std, b.std))
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,14 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
 
     Every iteration draws batch indices, per-item steps k in 1..K and
     fresh noise from the root stream, then applies one Adam update.
-    Pass a Checkpoint as `start` to resume: the continuation is bit
-    identical to an uninterrupted run with the same configs.  A resumed
-    run keeps the checkpoint's schedule and normalizer; `sched` must
-    match it, and `normalizer` must be omitted or equal to it.  On
-    divergence (non-finite or exploding loss) the raised error carries
-    the last good checkpoint.
+    Every run resumes from a Checkpoint: `start`, or for a fresh run the
+    `initial_checkpoint` of tr_cfg.seed and `normalizer` (the identity if
+    omitted).  The continuation is bit identical to an uninterrupted run
+    with the same configs.  The run keeps the checkpoint's configs and
+    normalizer; `den_cfg` and `sched` must match them, and `normalizer`
+    must be omitted or equal to it.  On divergence (non-finite or
+    exploding loss) the raised error carries the last good checkpoint,
+    at worst `start`.
     """
     if not tasks:
         raise ContractError("training needs at least one task")
@@ -158,38 +164,32 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
             f"task future shape {gt.shape[1:]} != config {(den_cfg.l_pred, den_cfg.dim)}")
 
     if start is None:
-        model = init_denoiser(den_cfg, tr_cfg.seed)
-        m = {k: np.zeros_like(a) for k, a in model.params.items()}
-        v = {k: np.zeros_like(a) for k, a in model.params.items()}
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=tr_cfg.seed, spawn_key=(1,)))
-        start_iter = 0
-    else:
-        if start.denoiser_config != den_cfg:
-            raise ConfigError("checkpoint denoiser config does not match")
-        if start.schedule != sched:
-            raise ConfigError(f"checkpoint schedule {start.schedule} != requested {sched}")
-        if normalizer is None:
-            normalizer = start.normalizer
-        elif not _same_normalizer(normalizer, start.normalizer):
-            raise ConfigError("normalizer differs from the checkpoint's normalizer")
-        if start.iteration > tr_cfg.iterations:
-            raise ConfigError(
-                f"checkpoint is at iteration {start.iteration}, past the target "
-                f"of {tr_cfg.iterations} iterations")
-        model = start.build_model()
-        m = {k: a.copy() for k, a in start.adam_m.items()}
-        v = {k: a.copy() for k, a in start.adam_v.items()}
-        rng = np.random.default_rng()
-        rng.bit_generator.state = start.rng_state
-        start_iter = start.iteration
+        start = initial_checkpoint(den_cfg, sched,
+                                   normalizer or Normalizer.identity(den_cfg.dim),
+                                   tr_cfg.seed)
+    if start.denoiser_config != den_cfg:
+        raise ConfigError("checkpoint denoiser config does not match")
+    if start.schedule != sched:
+        raise ConfigError(f"checkpoint schedule {start.schedule} != requested {sched}")
+    if normalizer is not None and not (np.array_equal(normalizer.mean, start.normalizer.mean)
+                                       and np.array_equal(normalizer.std, start.normalizer.std)):
+        raise ConfigError("normalizer differs from the checkpoint's normalizer")
+    if start.iteration > tr_cfg.iterations:
+        raise ConfigError(
+            f"checkpoint is at iteration {start.iteration}, past the target "
+            f"of {tr_cfg.iterations} iterations")
+    model = start.build_model()
+    m = {k: a.copy() for k, a in start.adam_m.items()}
+    v = {k: a.copy() for k, a in start.adam_v.items()}
+    rng = np.random.default_rng()
+    rng.bit_generator.state = start.rng_state
 
-    last_good = _snapshot(den_cfg, sched, normalizer, model, m, v, start_iter, rng)
+    last_good = start
     losses: list[float] = []
     log_rows: list[tuple[int, float]] = []
     n = len(tasks)
 
-    for it in range(start_iter + 1, tr_cfg.iterations + 1):
+    for it in range(start.iteration + 1, tr_cfg.iterations + 1):
         idx = rng.integers(0, n, size=tr_cfg.batch_size)
         ks = rng.integers(1, sched.k_steps + 1, size=tr_cfg.batch_size)
         eps = rng.standard_normal((tr_cfg.batch_size, den_cfg.l_pred, den_cfg.dim))
@@ -208,10 +208,9 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         if it == 1 or it % LOG_EVERY == 0 or it == tr_cfg.iterations:
             log_rows.append((it, loss_val))
         if it % tr_cfg.checkpoint_every == 0:
-            last_good = _snapshot(den_cfg, sched, normalizer, model, m, v, it, rng)
+            last_good = _snapshot(start, model, m, v, it, rng)
 
-    final = _snapshot(den_cfg, sched, normalizer, model, m, v,
-                      tr_cfg.iterations, rng)
+    final = _snapshot(start, model, m, v, tr_cfg.iterations, rng)
     if log_path is not None:
         with open(log_path, "w") as fh:
             fh.write("iteration,loss\n")
@@ -230,9 +229,7 @@ def _tensor_items(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     items = [(f"param.{k}", ckpt.params[k]) for k in order]
     items += [(f"adam_m.{k}", ckpt.adam_m[k]) for k in order]
     items += [(f"adam_v.{k}", ckpt.adam_v[k]) for k in order]
-    if ckpt.normalizer is not None:
-        items += [("norm.mean", ckpt.normalizer.mean), ("norm.std", ckpt.normalizer.std)]
-    return items
+    return items + [("norm.mean", ckpt.normalizer.mean), ("norm.std", ckpt.normalizer.std)]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -251,7 +248,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "schedule": {"k_steps": ckpt.schedule.k_steps,
                      "beta_min": ckpt.schedule.beta_min,
                      "beta_max": ckpt.schedule.beta_max},
-        "normalizer": ckpt.normalizer is not None,
+        "normalizer": True,  # files without one load with the identity
         "iteration": ckpt.iteration,
         "rng_state": ckpt.rng_state,
         "tensors": index,
@@ -284,7 +281,7 @@ def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
             _int_field(entry.get("crc32"), f"tensor {name!r} crc32"))
 
 
-def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     """Read a CKPT1 file; any malformed manifest or payload is an IntegrityError."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -313,8 +310,6 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
         np.random.PCG64().state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from exc
-    if expect_denoiser is not None and den_cfg != expect_denoiser:
-        raise ConfigError("checkpoint denoiser config does not match the expected one")
     if not isinstance(entries, list):
         raise IntegrityError("checkpoint tensor index is not a list")
     iteration = _int_field(iteration, "iteration")
@@ -337,18 +332,17 @@ def load_checkpoint(path, expect_denoiser: DenoiserConfig | None = None) -> Chec
             if key not in tensors:
                 raise IntegrityError(f"checkpoint is missing tensor {key!r}")
             dest[name] = tensors[key]
-    normalizer = None
-    if has_normalizer:
-        if "norm.mean" not in tensors or "norm.std" not in tensors:
-            raise IntegrityError("checkpoint is missing normalizer tensors")
-        mean, std = tensors["norm.mean"], tensors["norm.std"]
-        if mean.shape != (den_cfg.dim,) or std.shape != (den_cfg.dim,):
-            raise IntegrityError(
-                f"normalizer tensors have shapes {mean.shape} and {std.shape}, "
-                f"not ({den_cfg.dim},)")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
-            raise IntegrityError("normalizer needs a finite mean and a finite, positive std")
-        normalizer = Normalizer(mean=mean, std=std)
+    if not has_normalizer:  # a file saved before every checkpoint carried one
+        tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))
+    if "norm.mean" not in tensors or "norm.std" not in tensors:
+        raise IntegrityError("checkpoint is missing normalizer tensors")
+    mean, std = tensors["norm.mean"], tensors["norm.std"]
+    if mean.shape != (den_cfg.dim,) or std.shape != (den_cfg.dim,):
+        raise IntegrityError(
+            f"normalizer tensors have shapes {mean.shape} and {std.shape}, "
+            f"not ({den_cfg.dim},)")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
+        raise IntegrityError("normalizer needs a finite mean and a finite, positive std")
     return Checkpoint(denoiser_config=den_cfg, schedule=sched,
-                      normalizer=normalizer, params=params, adam_m=m_mom,
+                      normalizer=Normalizer(mean, std), params=params, adam_m=m_mom,
                       adam_v=v_mom, iteration=iteration, rng_state=rng_state)

@@ -154,7 +154,7 @@ class TestTrainCmd:
         run = only_run_dir(out, "train")
         ckpt = md.load_checkpoint(os.path.join(run, "checkpoint.ckpt"))
         assert ckpt.iteration == 12
-        assert ckpt.normalizer is not None
+        assert not np.array_equal(ckpt.normalizer.std, np.ones(6))  # fitted
         log = open(os.path.join(run, "loss_log.csv")).read().splitlines()
         assert log[0] == "iteration,loss"
         assert log[1].startswith("1,")
@@ -205,19 +205,59 @@ class TestTrainCmd:
 
     def test_resume_without_normalizer_reaches_target(self, tmp_path, dataset,
                                                       checkpoint):
-        # a checkpoint written by `md.train` without `normalizer=`
-        bare = md.load_checkpoint(checkpoint)
-        bare.normalizer = None
-        path = str(tmp_path / "bare.ckpt")
-        md.save_checkpoint(bare, path)
+        # a file saved before every checkpoint carried a normalizer
+        blob = open(checkpoint, "rb").read()
+        nl = blob.index(b"\n")
+        manifest = json.loads(blob[:nl])
+        manifest["normalizer"] = False
+        manifest["tensors"] = [e for e in manifest["tensors"]
+                               if not e["name"].startswith("norm.")]
+        path = tmp_path / "bare.ckpt"
+        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() + blob[nl:])
         out = tmp_path / "r"
         assert main(["train", "--out", str(out), "--data", dataset,
                      "--iterations", "33", "--seed", "4", *TRAIN_ARGS,
-                     "--resume", path]) == 0
+                     "--resume", str(path)]) == 0
         ckpt = md.load_checkpoint(os.path.join(only_run_dir(out, "train"),
                                                "checkpoint.ckpt"))
         assert ckpt.iteration == 33
-        assert ckpt.normalizer is None
+        np.testing.assert_array_equal(ckpt.normalizer.mean, np.zeros(6))
+        np.testing.assert_array_equal(ckpt.normalizer.std, np.ones(6))
+
+    def test_resume_records_no_seed(self, tmp_path, dataset, checkpoint):
+        # the stream continues from the checkpoint whatever --seed says
+        runs = []
+        for seed in ("1", "99"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["train", "--out", str(out), "--data", dataset,
+                         "--iterations", "33", "--seed", seed, *TRAIN_ARGS,
+                         "--resume", checkpoint]) == 0
+            runs.append(only_run_dir(out, "train"))
+        a, b = (open(os.path.join(r, "checkpoint.ckpt"), "rb").read() for r in runs)
+        assert a == b
+        for run in runs:
+            manifest = read_manifest(run)
+            assert manifest["seed"] is None
+            assert manifest["config"]["seed"] is None
+
+    def test_resume_with_another_model_exits_2(self, tmp_path, dataset, checkpoint,
+                                               capsys):
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
+                     "--iterations", "33", *TRAIN_ARGS, "--model-dim", "32",
+                     "--resume", checkpoint]) == 2
+        assert "denoiser config" in capsys.readouterr().err
+
+    def test_resume_on_another_pose_dimension_exits_2(self, tmp_path, checkpoint,
+                                                      capsys):
+        # the checkpoint's normalizer cannot apply to 9-dimensional poses
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "3",
+                     "--n-sequences", "3", "--frames", "30"]) == 0
+        data = os.path.join(only_run_dir(tmp_path / "s", "synth"), "manifest.json")
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", data,
+                     "--iterations", "33", *TRAIN_ARGS, "--resume", checkpoint]) == 2
+        err = capsys.readouterr().err
+        assert "dimension" in err
+        assert "Traceback" not in err
 
     def test_resume_with_another_schedule_exits_2(self, tmp_path, dataset,
                                                   checkpoint, capsys):
@@ -322,6 +362,22 @@ class TestSampleCmd:
         assert main(["sample", "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad), "--data", dataset,
                      *WINDOW_ARGS]) == 1
+
+    def test_divergence_names_the_diffusion_step(self, tmp_path, checkpoint,
+                                                 dataset, capsys):
+        # an output head scaled to 1e305 overflows the reverse chain
+        ckpt = md.load_checkpoint(checkpoint)
+        ckpt.params["out_w"] = ckpt.params["out_w"] * 1e305
+        bad = str(tmp_path / "huge.ckpt")
+        md.save_checkpoint(ckpt, bad)
+        for mode in ("stochastic", "deterministic"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["sample", "--out", str(tmp_path / mode),
+                             "--checkpoint", bad, "--data", dataset,
+                             *WINDOW_ARGS, "--mode", mode, "--n", "2"]) == 1
+            err = capsys.readouterr().err
+            assert "diffusion step k=" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_dataset_manifest_not_json_exits_2(self, tmp_path, checkpoint,

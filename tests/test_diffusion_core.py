@@ -9,7 +9,7 @@ import motion_diffusion as md
 import motion_diffusion.numerics as nm
 from motion_diffusion.diffusion import batch_noise_loss
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
-                                     SamplingDivergedError)
+                                     NumericsError, SamplingDivergedError)
 
 
 class StubModel:
@@ -360,6 +360,26 @@ class TestSamplers:
         with pytest.raises(SamplingDivergedError) as err:
             md.sample_stochastic(model, np.zeros((3, 6)), 2, seed=1, sched=s)
         assert err.value.step == 4
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_denoiser_overflow_names_the_step(self, variant):
+        # output heads scaled to 1e305 leave step K a huge but finite state,
+        # and the denoiser's own ops overflow on it at step K - 1
+        cfg = md.DenoiserConfig(variant=variant, model_dim=16, n_heads=2,
+                                t_obs=3, l_pred=5, dim=6, k_steps=6)
+        model = md.init_denoiser(cfg, 0)
+        for name in model.params:
+            if name.startswith("out") and name.endswith("_w"):
+                model.params[name] = model.params[name] * 1e305
+        s = md.build_schedule(6, 0.02, 0.3)
+        obs = np.full((3, 6), 1e3)
+        for sample in (lambda: md.sample_stochastic(model, obs, 2, seed=1, sched=s),
+                       lambda: md.sample_deterministic(model, obs, s)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(SamplingDivergedError) as err:
+                sample()
+            assert err.value.step == s.k_steps - 1
+            assert isinstance(err.value.__cause__, NumericsError)
 
     def test_n_below_one_rejected(self):
         s = md.build_schedule(6, 0.02, 0.3)

@@ -11,7 +11,7 @@ import motion_diffusion as md
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      IntegrityError, TrainingDivergedError)
 from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_EVERY,
-                                       TrainConfig, adam_step)
+                                       TrainConfig, adam_step, initial_checkpoint)
 
 
 def toy_den_cfg(variant="series", **over):
@@ -176,6 +176,24 @@ class TestTrainLoop:
             np.testing.assert_array_equal(cont.checkpoint.adam_v[name],
                                           full.checkpoint.adam_v[name])
 
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_fresh_run_is_a_resume_from_iteration_zero(self, variant):
+        cfg = toy_den_cfg(variant)
+        tasks = toy_tasks(cfg)
+        norm = md.fit_normalizer(tasks)
+        tr = TrainConfig(batch_size=8, iterations=12, lr=1e-3, seed=5,
+                         checkpoint_every=5)
+        fresh = md.train(tasks, cfg, tr, toy_sched(cfg), normalizer=norm)
+        start = initial_checkpoint(cfg, toy_sched(cfg), norm, tr.seed)
+        assert start.iteration == 0
+        resumed = md.train(tasks, cfg, tr, toy_sched(cfg), start=start)
+        assert [x.hex() for x in resumed.losses] == [x.hex() for x in fresh.losses]
+        a, b = fresh.checkpoint, resumed.checkpoint
+        assert a.rng_state == b.rng_state
+        for group in ("params", "adam_m", "adam_v"):
+            for name, arr in getattr(a, group).items():
+                assert getattr(b, group)[name].tobytes() == arr.tobytes(), (group, name)
+
     def test_resume_past_target_rejected(self):
         ten, cfg, tr, tasks = quick_train(iterations=10, seed=5)
         tr5 = TrainConfig(**{**tr.to_dict(), "iterations": 5})
@@ -249,6 +267,16 @@ class TestTrainLoop:
         rebuilt = exc.checkpoint.build_model()
         assert set(rebuilt.params) == set(md.param_shapes(cfg))
 
+    def test_divergence_before_a_snapshot_carries_the_start(self):
+        cfg = toy_den_cfg()
+        tr = TrainConfig(batch_size=8, iterations=200, lr=1e6, seed=2,
+                         checkpoint_every=1000)
+        start = initial_checkpoint(cfg, toy_sched(cfg), md.Normalizer.identity(cfg.dim), 2)
+        with pytest.raises(TrainingDivergedError) as err:
+            md.train(toy_tasks(cfg), cfg, tr, toy_sched(cfg), start=start)
+        assert err.value.checkpoint.iteration == 0
+        assert err.value.checkpoint.rng_state == start.rng_state
+
     def test_loss_log_rows(self, tmp_path):
         cfg = toy_den_cfg()
         tr = TrainConfig(batch_size=4, iterations=150, lr=1e-3, seed=0)
@@ -300,7 +328,7 @@ class TestCheckpointIO:
 
     def test_round_trip_bit_exact(self, tmp_path):
         result, path, cfg = self.trained_checkpoint(tmp_path)
-        loaded = md.load_checkpoint(path, expect_denoiser=cfg)
+        loaded = md.load_checkpoint(path)
         src = result.checkpoint
         assert loaded.iteration == src.iteration
         assert loaded.rng_state == src.rng_state
@@ -329,9 +357,26 @@ class TestCheckpointIO:
             np.testing.assert_array_equal(cont.model.params[name],
                                           full.model.params[name])
 
-    def test_missing_normalizer_stays_none(self, tmp_path):
-        _, path, _ = self.trained_checkpoint(tmp_path, with_norm=False)
-        assert md.load_checkpoint(path).normalizer is None
+    def test_file_without_normalizer_loads_the_identity(self, tmp_path):
+        # a file saved before every checkpoint carried a normalizer
+        def drop_normalizer(manifest):
+            manifest["normalizer"] = False
+            manifest["tensors"] = [e for e in manifest["tensors"]
+                                   if not e["name"].startswith("norm.")]
+
+        result, path, cfg = self.trained_checkpoint(tmp_path)
+        self.edit_manifest(path, drop_normalizer)
+        loaded = md.load_checkpoint(path)
+        assert loaded.normalizer.mean.tobytes() == np.zeros(cfg.dim).tobytes()
+        assert loaded.normalizer.std.tobytes() == np.ones(cfg.dim).tobytes()
+        for name, arr in result.checkpoint.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+
+    def test_checkpoint_without_fitted_normalizer_carries_the_identity(self, tmp_path):
+        _, path, cfg = self.trained_checkpoint(tmp_path, with_norm=False)
+        loaded = md.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.normalizer.mean, np.zeros(cfg.dim))
+        np.testing.assert_array_equal(loaded.normalizer.std, np.ones(cfg.dim))
 
     def edit_manifest(self, path, mutate):
         blob = path.read_bytes()
@@ -437,7 +482,7 @@ class TestCheckpointIO:
                 payload += raw
         path.write_bytes(json.dumps(manifest, sort_keys=True).encode() +
                          b"\n" + payload)
-        loaded = md.load_checkpoint(path, expect_denoiser=cfg)
+        loaded = md.load_checkpoint(path)
         assert set(loaded.params) == set(md.param_shapes(cfg))
         for name, arr in result.checkpoint.params.items():
             np.testing.assert_array_equal(loaded.params[name], arr)
@@ -464,10 +509,12 @@ class TestCheckpointIO:
             md.load_checkpoint(path)
 
     def test_unexpected_config_rejected(self, tmp_path):
-        _, path, _ = self.trained_checkpoint(tmp_path)
+        _, path, cfg = self.trained_checkpoint(tmp_path)
         other = toy_den_cfg(model_dim=32)
-        with pytest.raises(ConfigError):
-            md.load_checkpoint(path, expect_denoiser=other)
+        tr = TrainConfig(batch_size=4, iterations=9, lr=1e-3, seed=7)
+        with pytest.raises(ConfigError, match="denoiser config"):
+            md.train(toy_tasks(cfg), other, tr, toy_sched(cfg),
+                     start=md.load_checkpoint(path))
 
 
 class TestConvergence:
