@@ -39,6 +39,7 @@ from .training import (TrainConfig, initial_checkpoint, load_checkpoint,
                        save_checkpoint, train)
 
 BUILD_ID = f"motion-diffusion/{__version__}"
+LOG_EVERY = 100  # loss_log.csv keeps iteration 1, every LOG_EVERY-th and the last
 
 # (key, type, default, help); required keys use the REQUIRED sentinel
 REQUIRED = object()
@@ -124,20 +125,24 @@ COMMAND_KEYS: dict[str, list[tuple]] = {
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines; `#` starts a comment; blanks ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -308,14 +313,18 @@ def cmd_train(cfg: dict) -> int:
     ckpt_path = os.path.join(run_dir, "checkpoint.ckpt")
     print(f"run directory: {run_dir}")
     try:
-        result = train(norm_tasks, den_cfg, tr_cfg, sched, start=start,
-                       log_path=os.path.join(run_dir, "loss_log.csv"))
+        result = train(norm_tasks, den_cfg, tr_cfg, sched, start=start)
     except TrainingDivergedError as exc:
         save_checkpoint(exc.checkpoint, ckpt_path)
         print(f"saved last good checkpoint at iteration {exc.checkpoint.iteration}",
               file=sys.stderr)
         raise
     save_checkpoint(result.checkpoint, ckpt_path)
+    with open(os.path.join(run_dir, "loss_log.csv"), "w") as fh:
+        fh.write("iteration,loss\n")
+        for it, val in enumerate(result.losses, start=start.iteration + 1):
+            if it == 1 or it % LOG_EVERY == 0 or it == tr_cfg.iterations:
+                fh.write(f"{it},{val!r}\n")
     print(f"final loss: {result.losses[-1]:.6f}" if result.losses
           else "no iterations run")
     print("wrote checkpoint.ckpt and loss_log.csv")
@@ -365,10 +374,8 @@ def cmd_sample(cfg: dict) -> int:
         task_dir = os.path.join(run_dir, f"task_{i:03d}")
         os.makedirs(task_dir)
         obs_n = ckpt.normalizer.apply(task.p_obs)
-        entry = {"index": i, "dir": f"task_{i:03d}", "files": []}
-        if task.p_gt is not None:
-            write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
-            entry["gt"] = "gt.mseq"
+        entry = {"index": i, "dir": f"task_{i:03d}", "gt": "gt.mseq", "files": []}
+        write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
         if cfg["mode"] == "deterministic":
             futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
             names = ["det.mseq"]

@@ -5,6 +5,11 @@ primitive against central differences at random points, and an
 end-to-end suite that probes the full conditional-loss gradient for
 both denoiser variants at a toy configuration.
 
+The per-op suite is the `_op_cases` table: a new op takes one row, and
+one harness builds its weighted loss.  The tests scale each module-level
+`_*backward*` kernel in `numerics` by 1.01 and expect the suite to catch
+it, so a new kernel gets its negative control without a new test.
+
 Relative error convention: |analytic - numeric| / max(|analytic|,
 |numeric|, 1e-6).  The floor keeps near-zero gradients from inflating
 the ratio; central differences in float64 resolve those to ~1e-12, far
@@ -50,26 +55,80 @@ def central_difference(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarr
                      for i in range(x.size)]).reshape(x.shape)
 
 
-def _check_inputs(build_loss, arrays: dict[str, np.ndarray],
-                  step: float) -> float:
-    """Worst relative error across all elements of all differentiated inputs.
+def _op_cases(rng: np.random.Generator) -> list[tuple]:
+    """One row per checked op call: (name, op, input arrays).
 
-    build_loss(tensors) must construct a scalar-loss Tensor from the
-    name -> Tensor map; arrays holds the input values.
+    `op` takes one Tensor per input array and returns the op's output;
+    every input is differentiated.  A new op takes one row here.
     """
+    a = rng.normal(size=(3, 4))
+    b = rng.normal(size=(3, 4))
+    lx = rng.normal(size=(2, 3, 4))
+    lw = rng.normal(size=(4, 5))
+    idx = rng.integers(0, 3, size=5)
+    idx2 = rng.integers(0, 3, size=(2, 3))
+    return [
+        ("add", nm.add, (a, b)),
+        ("add_broadcast", nm.add, (a, rng.normal(size=(4,)))),
+        ("sub", nm.sub, (a, b)),
+        ("mul", nm.mul, (a, b)),
+        ("scale", lambda x: nm.scale(x, 1.7), (a,)),
+        ("matmul", nm.matmul, (rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))),
+        ("matmul_batched", nm.matmul,
+         (rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)))),
+        ("linear", nm.linear, (lx, lw, rng.normal(size=(5,)))),
+        ("linear", nm.linear, (lx, lw)),
+        # two heads of width 2 over 3 tokens, two leading batch axes as in
+        # the spatial layer
+        ("attention", lambda q, k, v: nm.attention(q, k, v, 2),
+         tuple(rng.normal(size=(2, 2, 3, 4)) for _ in range(3))),
+        # two queries over three keys, as the temporal layer's future rows
+        ("attention_cross", lambda q, k, v: nm.attention(q, k, v, 2),
+         (rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 3, 4)),
+          rng.normal(size=(2, 3, 4)))),
+        # the temporal layer's layout: tokens on axis -3, two queries over three keys
+        ("attention_axis3", lambda q, k, v: nm.attention(q, k, v, 2, axis=-3),
+         (rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 3, 3, 4)),
+          rng.normal(size=(2, 3, 3, 4)))),
+        ("relu", nm.relu, (a + 0.05,)),  # nudge off the kink where FD is invalid
+        ("softmax_rows", nm.softmax_rows, (a,)),
+        ("layer_norm", nm.layer_norm,
+         (a, rng.normal(size=(4,)) + 1.0, rng.normal(size=(4,)))),
+        ("reshape", lambda x: nm.reshape(x, (12,)), (a,)),
+        ("transpose", lambda x: nm.transpose(x, (1, 0)), (a,)),
+        ("concat", lambda x, y: nm.concat([x, y], axis=0), (a, b)),
+        ("narrow", lambda x: nm.narrow(x, 1, 1, 2), (a,)),
+        ("take_rows", lambda x: nm.take_rows(x, idx), (a,)),
+        # a 2-D index, as the step embedding is gathered
+        ("take_rows_2d", lambda x: nm.take_rows(x, idx2), (a,)),
+        ("sum_all", nm.sum_all, (a,)),
+        ("mean_all", nm.mean_all, (a,)),
+    ]
+
+
+def _check_inputs(op, arrays: tuple, step: float,
+                  rng: np.random.Generator) -> float:
+    """Worst relative error of the loss sum(op(arrays) * w) over every input element.
+
+    w is drawn at op's output shape (a scalar for a scalar output), so
+    the loss weights every output element with a dense random weight.
+    """
+    w = rng.normal(size=op(*map(nm.constant, arrays)).shape)
+
+    def loss(tensors) -> nm.Tensor:
+        return nm.sum_all(nm.mul(op(*tensors), w))
+
     tape = nm.Tape()
-    leaves = {k: tape.param(v) for k, v in arrays.items()}
-    loss = build_loss(leaves)
-    grads = tape.gradients(loss, leaves)
+    leaves = dict(enumerate(map(tape.param, arrays)))
+    grads = tape.gradients(loss(leaves.values()), leaves)
     worst = 0.0
-    for name, x in arrays.items():
-        def value_at(perturbed, _name=name):
-            vals = dict(arrays)
-            vals[_name] = perturbed
-            return float(build_loss({k: nm.constant(v) for k, v in vals.items()}).data)
+    for i, x in enumerate(arrays):
+        def value_at(perturbed, _i=i):
+            vals = [*arrays[:_i], perturbed, *arrays[_i + 1:]]
+            return float(loss(map(nm.constant, vals)).data)
 
         fd = central_difference(value_at, x.copy(), step)
-        for a, n in zip(grads[name].ravel(), fd.ravel()):
+        for a, n in zip(grads[i].ravel(), fd.ravel()):
             worst = max(worst, relative_error(float(a), float(n)))
     return worst
 
@@ -78,117 +137,15 @@ def check_ops(seed: int = 0, points: int = 10,
               step: float = DEFAULT_STEP) -> dict[str, float]:
     """Finite-difference every primitive op at `points` random inputs.
 
-    Returns the worst relative error per op name.  Losses are built as
-    weighted sums with fixed random weights so gradients stay dense.
+    Returns the worst relative error per op name over the `_op_cases`
+    rows of that name.
     """
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
-
-    def record(name: str, build_loss, arrays: dict[str, np.ndarray]):
-        err = _check_inputs(build_loss, arrays, step)
-        worst[name] = max(worst.get(name, 0.0), err)
-
     for _ in range(points):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        col = rng.normal(size=(4,))
-        w = rng.normal(size=(3, 4))
-        record("add", lambda t: nm.sum_all(nm.mul(nm.add(t["a"], t["b"]), w)),
-               {"a": a, "b": b})
-        record("add_broadcast",
-               lambda t: nm.sum_all(nm.mul(nm.add(t["a"], t["c"]), w)),
-               {"a": a, "c": col})
-        record("sub", lambda t: nm.sum_all(nm.mul(nm.sub(t["a"], t["b"]), w)),
-               {"a": a, "b": b})
-        record("mul", lambda t: nm.sum_all(nm.mul(nm.mul(t["a"], t["b"]), w)),
-               {"a": a, "b": b})
-        record("scale", lambda t: nm.sum_all(nm.mul(nm.scale(t["a"], 1.7), w)),
-               {"a": a})
-
-        m1 = rng.normal(size=(3, 3))
-        m2 = rng.normal(size=(3, 3))
-        wm = rng.normal(size=(3, 3))
-        record("matmul", lambda t: nm.sum_all(nm.mul(nm.matmul(t["a"], t["b"]), wm)),
-               {"a": m1, "b": m2})
-        bm1 = rng.normal(size=(2, 3, 4))
-        bm2 = rng.normal(size=(4, 2))
-        wb = rng.normal(size=(2, 3, 2))
-        record("matmul_batched",
-               lambda t: nm.sum_all(nm.mul(nm.matmul(t["a"], t["b"]), wb)),
-               {"a": bm1, "b": bm2})
-
-        lx = rng.normal(size=(2, 3, 4))
-        lw = rng.normal(size=(4, 5))
-        lb = rng.normal(size=(5,))
-        wl = rng.normal(size=(2, 3, 5))
-        record("linear",
-               lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"], t["b"]), wl)),
-               {"x": lx, "w": lw, "b": lb})
-        record("linear",
-               lambda t: nm.sum_all(nm.mul(nm.linear(t["x"], t["w"]), wl)),
-               {"x": lx, "w": lw})
-        # two heads of width 2 over 3 tokens, two leading batch axes as in
-        # the spatial layer
-        qkv = {name: rng.normal(size=(2, 2, 3, 4)) for name in ("q", "k", "v")}
-        wa = rng.normal(size=(2, 2, 3, 4))
-        record("attention",
-               lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wa)),
-               qkv)
-        # two queries over three keys, as the temporal layer's future rows
-        cross = {"q": rng.normal(size=(2, 2, 4)), "k": rng.normal(size=(2, 3, 4)),
-                 "v": rng.normal(size=(2, 3, 4))}
-        wx = rng.normal(size=(2, 2, 4))
-        record("attention_cross",
-               lambda t: nm.sum_all(nm.mul(nm.attention(t["q"], t["k"], t["v"], 2), wx)),
-               cross)
-        # the temporal layer's layout: tokens on axis -3, two queries over three keys
-        frames = {"q": rng.normal(size=(2, 2, 3, 4)), "k": rng.normal(size=(2, 3, 3, 4)),
-                  "v": rng.normal(size=(2, 3, 3, 4))}
-        wf = rng.normal(size=(2, 2, 3, 4))
-        record("attention_axis3", lambda t: nm.sum_all(
-            nm.mul(nm.attention(t["q"], t["k"], t["v"], 2, axis=-3), wf)), frames)
-
-        record("relu", lambda t: nm.sum_all(nm.mul(nm.relu(t["a"]), w)),
-               {"a": a + 0.05})  # nudge off the kink where FD is invalid
-        record("softmax_rows",
-               lambda t: nm.sum_all(nm.mul(nm.softmax_rows(t["a"]), w)),
-               {"a": a})
-
-        gain = rng.normal(size=(4,)) + 1.0
-        bias = rng.normal(size=(4,))
-        record("layer_norm",
-               lambda t: nm.sum_all(nm.mul(nm.layer_norm(t["a"], t["g"], t["b"]), w)),
-               {"a": a, "g": gain, "b": bias})
-
-        w12 = rng.normal(size=(12,))
-        record("reshape",
-               lambda t: nm.sum_all(nm.mul(nm.reshape(t["a"], (12,)), w12)),
-               {"a": a})
-        wt = rng.normal(size=(4, 3))
-        record("transpose",
-               lambda t: nm.sum_all(nm.mul(nm.transpose(t["a"], (1, 0)), wt)),
-               {"a": a})
-        wc = rng.normal(size=(6, 4))
-        record("concat",
-               lambda t: nm.sum_all(nm.mul(nm.concat([t["a"], t["b"]], axis=0), wc)),
-               {"a": a, "b": b})
-        wn = rng.normal(size=(3, 2))
-        record("narrow",
-               lambda t: nm.sum_all(nm.mul(nm.narrow(t["a"], 1, 1, 2), wn)),
-               {"a": a})
-        idx = rng.integers(0, 3, size=5)
-        wr = rng.normal(size=(5, 4))
-        record("take_rows",
-               lambda t: nm.sum_all(nm.mul(nm.take_rows(t["a"], idx), wr)),
-               {"a": a})
-        # a 2-D index, as the step embedding is gathered
-        idx2 = rng.integers(0, 3, size=(2, 3))
-        wr2 = rng.normal(size=(2, 3, 4))
-        record("take_rows_2d",
-               lambda t: nm.sum_all(nm.mul(nm.take_rows(t["a"], idx2), wr2)),
-               {"a": a})
-        record("sum_all", lambda t: nm.sum_all(t["a"]), {"a": a})
-        record("mean_all", lambda t: nm.mean_all(t["a"]), {"a": a})
+        for name, op, arrays in _op_cases(rng):
+            err = _check_inputs(op, arrays, step, rng)
+            worst[name] = max(worst.get(name, 0.0), err)
     return worst
 
 

@@ -45,8 +45,8 @@ class SampleSet:
             if not np.all(np.isfinite(g)):
                 raise ContractError("ground truth contains non-finite values")
             object.__setattr__(self, "ground_truth", g)
-        if self.fps is not None and not self.fps > 0:
-            raise ContractError(f"fps must be positive, got {self.fps}")
+        if self.fps is not None and not 0 < self.fps < math.inf:
+            raise ContractError(f"fps must be positive and finite, got {self.fps}")
 
     @property
     def n_samples(self) -> int:
@@ -63,10 +63,6 @@ class MetricsReport:
     afde: float
     sfde: float
     euler_mse_by_horizon: dict[int, float] = field(default_factory=dict)
-
-    def scalars(self) -> dict[str, float]:
-        return {"apd": self.apd, "mde": self.mde, "ade": self.ade, "sde": self.sde,
-                "mfde": self.mfde, "afde": self.afde, "sfde": self.sfde}
 
 
 def apd(s: SampleSet) -> float:
@@ -121,8 +117,8 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
     if pred.shape != gt.shape or pred.ndim != 2:
         raise DimensionError(
             f"pred and gt must share an (L, D) shape, got {pred.shape} vs {gt.shape}")
-    if not fps > 0:
-        raise ContractError(f"fps must be positive, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ContractError(f"fps must be positive and finite, got {fps}")
     out: dict[int, float] = {}
     for ms in horizons_ms:
         frame = int(math.floor(ms * fps / 1000.0 + 0.5))
@@ -170,7 +166,7 @@ def write_report_csv(rows: list[tuple[str, MetricsReport]], path) -> None:
     header = ["task", *METRIC_COLUMNS, *[f"euler_mse_{ms}ms" for ms in horizons]]
     table = []
     for label, rep in rows:
-        vals = [rep.scalars()[c] for c in METRIC_COLUMNS]
+        vals = [getattr(rep, c) for c in METRIC_COLUMNS]
         vals += [rep.euler_mse_by_horizon[ms] for ms in horizons]
         table.append((label, vals))
     means = np.mean(np.array([v for _, v in table]), axis=0)

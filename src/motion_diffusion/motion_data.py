@@ -55,8 +55,8 @@ class MotionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", _check_frames(self.frames))
-        if self.fps <= 0:
-            raise ContractError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < np.inf:
+            raise ContractError(f"fps must be positive and finite, got {self.fps}")
         if self.representation not in REPRESENTATIONS:
             raise ContractError(
                 f"unknown representation {self.representation!r}, "
@@ -118,8 +118,8 @@ def synth_dataset(n_joints: int, n_sequences: int, frames_per_sequence: int,
         raise ConfigError(f"n_sequences must be >= 0, got {n_sequences}")
     if frames_per_sequence < 1:
         raise ConfigError(f"frames_per_sequence must be >= 1, got {frames_per_sequence}")
-    if fps <= 0:
-        raise ConfigError(f"fps must be positive, got {fps}")
+    if not 0 < fps < np.inf:
+        raise ConfigError(f"fps must be positive and finite, got {fps}")
     if not action_mix:
         raise ConfigError("action_mix is empty")
     for name in action_mix:
@@ -127,8 +127,9 @@ def synth_dataset(n_joints: int, n_sequences: int, frames_per_sequence: int,
             raise ConfigError(
                 f"unknown action {name!r}, expected one of {sorted(ACTION_BANDS)}")
     weights = np.array([float(action_mix[a]) for a in sorted(action_mix)])
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ConfigError("action_mix weights must be nonnegative with positive sum")
+    if not (np.all(weights >= 0) and 0 < weights.sum() < np.inf):  # rejects NaN too
+        raise ConfigError("action_mix weights must be nonnegative with a positive, "
+                          "finite sum")
     names = sorted(action_mix)
     probs = weights / weights.sum()
 
@@ -277,6 +278,8 @@ def load_motion_file(path: str) -> MotionSequence:
         raise ParseError(f"bad header field: {exc}", offset=0) from exc
     if n_frames < 1:
         raise ParseError(f"header F={n_frames} must be >= 1", offset=0)
+    if not 0 < fps < np.inf:
+        raise ParseError(f"header fps={fps} must be positive and finite", offset=0)
     if dim < 3 or dim % 3 != 0:
         raise ParseError(f"header D={dim} is not a positive multiple of 3", offset=0)
     if representation not in REPRESENTATIONS:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
 from .motion_data import Normalizer, PredictionTask
 
 CKPT_VERSION = 1
-LOG_EVERY = 100
 DIVERGE_LIMIT = 1e6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -48,11 +47,8 @@ class TrainConfig:
             raise ConfigError("batch_size, iterations, checkpoint_every must be >= 1")
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.grad_clip < 0:
-            raise ConfigError("grad_clip must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if not self.grad_clip >= 0:  # NaN would turn clipping off
+            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -130,8 +126,7 @@ class TrainResult:
 def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
           tr_cfg: TrainConfig, sched: NoiseSchedule,
           normalizer: Normalizer | None = None,
-          start: Checkpoint | None = None,
-          log_path=None) -> TrainResult:
+          start: Checkpoint | None = None) -> TrainResult:
     """Run the noise-prediction training loop until tr_cfg.iterations.
 
     Every iteration draws batch indices, per-item steps k in 1..K and
@@ -186,7 +181,6 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
 
     last_good = start
     losses: list[float] = []
-    log_rows: list[tuple[int, float]] = []
     n = len(tasks)
 
     for it in range(start.iteration + 1, tr_cfg.iterations + 1):
@@ -205,17 +199,10 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(str(exc), it, checkpoint=last_good) from exc
         losses.append(loss_val)
-        if it == 1 or it % LOG_EVERY == 0 or it == tr_cfg.iterations:
-            log_rows.append((it, loss_val))
         if it % tr_cfg.checkpoint_every == 0:
             last_good = _snapshot(start, model, m, v, it, rng)
 
     final = _snapshot(start, model, m, v, tr_cfg.iterations, rng)
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            fh.write("iteration,loss\n")
-            for it, val in log_rows:
-                fh.write(f"{it},{val!r}\n")
     return TrainResult(model=model, checkpoint=final, losses=losses)
 
 
@@ -326,11 +313,14 @@ def load_checkpoint(path) -> Checkpoint:
 
     expected = param_shapes(den_cfg)
     params, m_mom, v_mom = {}, {}, {}
-    for name in expected:
+    for name, shape in expected.items():
         for prefix, dest in (("param.", params), ("adam_m.", m_mom), ("adam_v.", v_mom)):
             key = prefix + name
             if key not in tensors:
                 raise IntegrityError(f"checkpoint is missing tensor {key!r}")
+            if tensors[key].shape != shape:
+                raise IntegrityError(
+                    f"tensor {key!r} has shape {tensors[key].shape}, not {shape}")
             dest[name] = tensors[key]
     if not has_normalizer:  # a file saved before every checkpoint carried one
         tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import motion_diffusion as md
+import motion_diffusion.cli as cli
 import motion_diffusion.numerics as nm
-from motion_diffusion.cli import main, parse_config_file
+from motion_diffusion.cli import LOG_EVERY, main, parse_config_file
 
 # window/model settings shared by every pipeline invocation in this file;
 # the sampler refuses a checkpoint whose extents disagree with the flags
@@ -158,6 +159,44 @@ class TestTrainCmd:
         log = open(os.path.join(run, "loss_log.csv")).read().splitlines()
         assert log[0] == "iteration,loss"
         assert log[1].startswith("1,")
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+    def test_loss_log_rows(self, tmp_path, dataset, checkpoint, monkeypatch, resume):
+        # iteration 1, every LOG_EVERY-th and the last, as the loss train
+        # returned; a resume from iteration 30 has no row for iteration 1
+        results = []
+
+        def recording_train(*args, **kw):
+            results.append(md.train(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        out = tmp_path / "t"
+        assert main(["train", "--out", str(out), "--data", dataset,
+                     "--iterations", "150", "--seed", "4", *TRAIN_ARGS,
+                     *(["--resume", checkpoint] if resume else [])]) == 0
+        losses = results[0].losses
+        first = 31 if resume else 1
+        lines = open(os.path.join(only_run_dir(out, "train"),
+                                  "loss_log.csv")).read().splitlines()
+        assert lines[0] == "iteration,loss"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [1, LOG_EVERY, 150][resume:]
+        if not resume:
+            assert float(rows[0][1]) == losses[0]
+        assert float(rows[-2][1]) == losses[LOG_EVERY - first]
+        assert float(rows[-1][1]) == losses[-1]
+
+    @pytest.mark.parametrize("shape", [(1,), (3,)], ids=["broadcastable", "not"])
+    def test_resume_with_misshaped_moment_exits_1(self, tmp_path, dataset, checkpoint,
+                                                  capsys, shape):
+        ckpt = md.load_checkpoint(checkpoint)
+        ckpt.adam_m["in_w"] = np.zeros(shape)
+        path = tmp_path / "bad.ckpt"
+        md.save_checkpoint(ckpt, path)
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
+                     "--iterations", "33", *TRAIN_ARGS, "--resume", str(path)]) == 1
+        assert "adam_m.in_w" in capsys.readouterr().err
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o"),
@@ -557,23 +596,6 @@ class TestGradcheckCmd:
         assert main(["gradcheck", "--out", str(tmp_path / "g"),
                      "--probes", "1"]) == 1
 
-    @pytest.mark.parametrize("kernel", ["_linear_backward_x", "_linear_backward_w",
-                                        "_attention_backward"])
-    def test_corrupted_fused_pullback_detected(self, tmp_path, monkeypatch, kernel):
-        # the same negative control for each backward kernel of the fused
-        # ops the denoiser runs; the attention kernel returns (gq, gk, gv)
-        true_kernel = getattr(nm, kernel)
-
-        def corrupted(*args):
-            out = true_kernel(*args)
-            if isinstance(out, tuple):
-                return tuple(g * 1.01 for g in out)
-            return out * 1.01
-
-        monkeypatch.setattr(nm, kernel, corrupted)
-        assert main(["gradcheck", "--out", str(tmp_path / "g"),
-                     "--probes", "1"]) == 1
-
 
 class TestAllocatorPin:
     def test_main_runs_without_libc(self, tmp_path, monkeypatch):
@@ -616,6 +638,29 @@ def test_bad_path_or_count_exits_2(tmp_path, dataset, checkpoint, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# each builds argv from (a directory holding latin1.cfg, the dataset manifest)
+BAD_VALUES = {
+    "config-not-utf8": lambda d, data: [
+        "synth", "--config", os.path.join(d, "latin1.cfg")],
+    "synth-action-weight-nan": lambda d, data: ["synth", "--actions", "walk:nan"],
+    "synth-action-weight-inf": lambda d, data: ["synth", "--actions", "walk:inf"],
+    "synth-fps-nan": lambda d, data: ["synth", "--fps", "nan"],
+    "synth-fps-inf": lambda d, data: ["synth", "--fps", "inf"],
+    "train-grad-clip-nan": lambda d, data: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--grad-clip", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_2(tmp_path, dataset, capsys, case):
+    (tmp_path / "latin1.cfg").write_bytes(b"actions = caf\xe9:1\n")
+    argv = BAD_VALUES[case](str(tmp_path), dataset)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert not (tmp_path / "o").exists()
 
 
 class TestExportCmd:

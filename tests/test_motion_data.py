@@ -206,6 +206,16 @@ class TestMotionFileIO:
             mdata.load_motion_file(path)
         assert err.value.offset == len(head) + 8
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0])
+    def test_bad_fps_rejected(self, tmp_path, fps):
+        # an infinite frame rate used to reach the euler horizons as inf
+        header = {"version": 1, "F": 1, "D": 3, "fps": fps,
+                  "repr": "euler", "label": None}
+        path = tmp_path / "bad.mseq"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 24)
+        with pytest.raises(ParseError, match="fps"):
+            mdata.load_motion_file(path)
+
     def test_version_mismatch(self, tmp_path):
         header = {"version": 9, "F": 1, "D": 3, "fps": 25.0,
                   "repr": "euler", "label": None}

@@ -399,6 +399,32 @@ def test_every_op_matches_finite_differences():
         assert err < 1e-4, f"{name}: {err}"
 
 
+BACKWARD_KERNELS = sorted(name for name, fn in vars(nm).items()
+                          if inspect.isfunction(fn) and name.startswith("_")
+                          and "backward" in name)
+
+
+def test_backward_kernels_are_found():
+    assert len(BACKWARD_KERNELS) >= 8
+    assert "_layer_norm_backward_x" in BACKWARD_KERNELS
+
+
+@pytest.mark.parametrize("kernel", BACKWARD_KERNELS)
+def test_corrupted_backward_kernel_detected(monkeypatch, kernel):
+    # negative control: a 1% error in any backward kernel must show in the
+    # op suite; the attention kernel returns (gq, gk, gv)
+    true_kernel = getattr(nm, kernel)
+
+    def corrupted(*args):
+        out = true_kernel(*args)
+        if isinstance(out, tuple):
+            return tuple(g * 1.01 for g in out)
+        return out * 1.01
+
+    monkeypatch.setattr(nm, kernel, corrupted)
+    assert max(check_ops(seed=0, points=1).values()) > 1e-4
+
+
 def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
     # negative control for the entries with fewer queries than keys: a 1%
     # error in gk alone
