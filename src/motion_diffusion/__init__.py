@@ -15,8 +15,8 @@ pipeline:
 
 __version__ = "0.1.0"
 
-from .denoiser import (DenoiserConfig, DenoiserModel, init_denoiser, param_count,
-                       param_shapes, positional_encoding)
+from .denoiser import (DenoiserConfig, DenoiserModel, init_denoiser, param_shapes,
+                       positional_encoding)
 from .diffusion import (NoiseSchedule, batch_noise_loss, build_schedule,
                         forward_noise, mu_theta, reverse_step,
                         sample_deterministic, sample_stochastic)

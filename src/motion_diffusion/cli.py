@@ -78,12 +78,14 @@ COMMAND_KEYS: dict[str, list[tuple]] = {
         ("k_steps", int, 20, "diffusion steps"),
         ("beta_min", float, 0.001, "smallest noise-schedule beta"),
         ("beta_max", float, 0.333, "largest noise-schedule beta"),
-        ("batch_size", int, 64, "tasks per iteration"),
-        ("iterations", int, 2000, "optimizer steps"),
-        ("lr", float, 1e-4, "Adam learning rate"),
-        ("checkpoint_every", int, 500, "snapshot interval (iterations)"),
-        ("grad_clip", float, 0.0, "global-norm gradient clip, 0 disables"),
-        ("seed", int, 0, "training seed"),
+        ("batch_size", int, TrainConfig.batch_size, "tasks per iteration"),
+        ("iterations", int, TrainConfig.iterations, "optimizer steps"),
+        ("lr", float, TrainConfig.lr, "Adam learning rate"),
+        ("checkpoint_every", int, TrainConfig.checkpoint_every,
+         "snapshot interval (iterations)"),
+        ("grad_clip", float, TrainConfig.grad_clip,
+         "global-norm gradient clip, 0 disables"),
+        ("seed", int, TrainConfig.seed, "training seed"),
         ("resume", str, "", "checkpoint to resume from"),
         *_SPLIT_KEYS,
     ],
@@ -198,9 +200,12 @@ def parse_action_mix(text: str) -> dict[str, float]:
 
 def _parse_horizons(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        horizons = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"horizons must be comma-separated integers, got {text!r}")
+    if any(ms < 1 for ms in horizons):
+        raise ConfigError(f"horizons must be positive, got {text!r}")
+    return horizons
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,7 @@ def cmd_sample(cfg: dict) -> int:
 
 SAMPLES_MANIFEST_KEYS = {"mode": str, "fps": (int, float), "representation": str,
                          "tasks": list}
-SAMPLES_TASK_KEYS = {"index": int, "dir": str, "files": list}
+SAMPLES_TASK_KEYS = {"index": int, "dir": str, "gt": str, "files": list}
 
 
 def _has_fields(obj, fields: dict) -> bool:
@@ -428,23 +433,19 @@ def cmd_eval(cfg: dict) -> int:
     if manifest["mode"] != "stochastic":
         raise ConfigError("eval needs a stochastic sample run as `samples`")
     det_by_index = {}
-    det_repr = None
     if cfg["det"]:
         det_manifest, det_base = _load_samples_manifest(cfg["det"])
         if det_manifest["mode"] != "deterministic":
             raise ConfigError("`det` must point at a deterministic sample run")
-        det_repr = det_manifest["representation"]
-        for entry in det_manifest["tasks"]:
-            det_by_index[entry["index"]] = os.path.join(
-                det_base, entry["dir"], entry["files"][0])
+        if det_manifest["representation"] == "euler":  # euler MSE reads euler angles
+            det_by_index = {e["index"]: os.path.join(det_base, e["dir"], e["files"][0])
+                            for e in det_manifest["tasks"]}
     horizons = _parse_horizons(cfg["horizons"])
 
     rows = []
     for entry in manifest["tasks"]:
         idx = entry["index"]
         task_dir = os.path.join(base, entry["dir"])
-        if "gt" not in entry:
-            raise ContractError(f"task {idx}: no ground truth; cannot evaluate")
         gt = load_motion_file(os.path.join(task_dir, entry["gt"])).frames
         sample_frames = [load_motion_file(os.path.join(task_dir, name)).frames
                          for name in entry["files"]]
@@ -453,12 +454,9 @@ def cmd_eval(cfg: dict) -> int:
                              fps=manifest["fps"])
         except (DimensionError, ContractError, ValueError) as exc:
             raise ContractError(f"task {idx}: {exc}") from exc
-        det_pred = None
-        if idx in det_by_index and det_repr == "euler":
-            det_pred = load_motion_file(det_by_index[idx]).frames
-        report = compute_report(sset, deterministic_pred=det_pred,
-                                horizons_ms=horizons,
-                                representation=det_repr or "none")
+        det_pred = (load_motion_file(det_by_index[idx]).frames
+                    if idx in det_by_index else None)
+        report = compute_report(sset, deterministic_pred=det_pred, horizons_ms=horizons)
         rows.append((f"task_{idx:03d}", report))
 
     run_dir = make_run_dir(cfg["out"], "eval")

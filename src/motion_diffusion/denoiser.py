@@ -26,7 +26,7 @@ frames alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class DenoiserConfig:
         if self.model_dim % 2:
             raise ConfigError("model_dim must be even for sinusoidal encodings")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _layer_shapes(prefix: str, c: int) -> dict[str, tuple]:
     h = FF_RATIO * c
@@ -96,10 +93,6 @@ def param_shapes(config: DenoiserConfig) -> dict[str, tuple]:
                        "out_t_w": (c, 1), "out_t_b": (1,),
                        "fuse_w": (2, 1), "fuse_b": (1,)})
     return shapes
-
-
-def param_count(config: DenoiserConfig) -> int:
-    return sum(int(np.prod(shape)) for shape in param_shapes(config).values())
 
 
 def _init_array(name: str, shape: tuple, rng: np.random.Generator) -> np.ndarray:

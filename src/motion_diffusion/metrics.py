@@ -109,8 +109,8 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
     """Mean squared wrapped angle error at each millisecond horizon.
 
     A horizon selects the 1-based frame round(ms * fps / 1000); horizons
-    that fall outside 1..L are omitted from the result rather than
-    raising.
+    that fall outside 1..L, however large, are omitted from the result
+    rather than raising.
     """
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -120,7 +120,10 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
     if not 0 < fps < math.inf:
         raise ContractError(f"fps must be positive and finite, got {fps}")
     out: dict[int, float] = {}
+    past_ms = (pred.shape[0] + 1) * 1000.0 / fps  # rounds to frame L + 1 or later
     for ms in horizons_ms:
+        if not 0 < ms < past_ms:  # before ms meets a float op, which could overflow
+            continue
         frame = int(math.floor(ms * fps / 1000.0 + 0.5))
         if frame < 1 or frame > pred.shape[0]:
             continue
@@ -130,18 +133,16 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
 
 
 def compute_report(s: SampleSet, deterministic_pred: np.ndarray | None = None,
-                   horizons_ms: tuple[int, ...] | list[int] = (),
-                   representation: str = "euler") -> MetricsReport:
+                   horizons_ms: tuple[int, ...] | list[int] = ()) -> MetricsReport:
     """Bundle all metrics for one task.
 
     Euler MSE is only computed when a deterministic prediction, ground
-    truth, an fps and an euler representation are all available.
+    truth, an fps and horizons are all available.
     """
     mde, ade, sde = displacement_errors(s)
     mfde, afde, sfde = final_displacement_errors(s)
     euler: dict[int, float] = {}
-    if (deterministic_pred is not None and horizons_ms and s.fps is not None
-            and representation == "euler"):
+    if deterministic_pred is not None and horizons_ms and s.fps is not None:
         euler = euler_mse(deterministic_pred, s.ground_truth, s.fps, horizons_ms)
     return MetricsReport(apd=apd(s), mde=mde, ade=ade, sde=sde,
                          mfde=mfde, afde=afde, sfde=sfde,

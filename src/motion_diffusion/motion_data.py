@@ -73,25 +73,24 @@ class MotionSequence:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTask:
-    """An (observation, future) pair; the future is optional at inference."""
+    """An (observation, future) window of one sequence."""
 
     p_obs: np.ndarray
-    p_gt: np.ndarray | None = None
+    p_gt: np.ndarray
 
     def __post_init__(self):
         obs = np.ascontiguousarray(self.p_obs, dtype=np.float64)
+        gt = np.ascontiguousarray(self.p_gt, dtype=np.float64)
         if obs.ndim != 2 or obs.shape[0] < 1:
             raise ContractError(f"p_obs must be T x D with T >= 1, got {obs.shape}")
+        if gt.ndim != 2 or gt.shape[0] < 1:
+            raise ContractError(f"p_gt must be L x D with L >= 1, got {gt.shape}")
+        if gt.shape[1] != obs.shape[1]:
+            raise ContractError(
+                f"p_obs and p_gt disagree on pose dimension: "
+                f"{obs.shape[1]} vs {gt.shape[1]}")
         object.__setattr__(self, "p_obs", obs)
-        if self.p_gt is not None:
-            gt = np.ascontiguousarray(self.p_gt, dtype=np.float64)
-            if gt.ndim != 2 or gt.shape[0] < 1:
-                raise ContractError(f"p_gt must be L x D with L >= 1, got {gt.shape}")
-            if gt.shape[1] != obs.shape[1]:
-                raise ContractError(
-                    f"p_obs and p_gt disagree on pose dimension: "
-                    f"{obs.shape[1]} vs {gt.shape[1]}")
-            object.__setattr__(self, "p_gt", gt)
+        object.__setattr__(self, "p_gt", gt)
 
     @property
     def dim(self) -> int:
@@ -112,6 +111,9 @@ def synth_dataset(n_joints: int, n_sequences: int, frames_per_sequence: int,
     the sinusoid frequency band (see ACTION_BANDS).  Output is a pure
     function of the arguments.
     """
+    if representation not in REPRESENTATIONS:
+        raise ConfigError(f"unknown representation {representation!r}, "
+                          f"expected one of {REPRESENTATIONS}")
     if n_joints < 2:
         raise ConfigError(f"n_joints must be >= 2, got {n_joints}")
     if n_sequences < 0:
@@ -211,20 +213,15 @@ class Normalizer:
         return np.asarray(x, dtype=np.float64) * self.std + self.mean
 
     def apply_task(self, task: PredictionTask) -> PredictionTask:
-        gt = self.apply(task.p_gt) if task.p_gt is not None else None
-        return PredictionTask(self.apply(task.p_obs), gt)
+        return PredictionTask(self.apply(task.p_obs), self.apply(task.p_gt))
 
 
 def fit_normalizer(train_tasks: list[PredictionTask]) -> Normalizer:
     """Fit per-dimension mean/std over all frames of the training tasks."""
     if not train_tasks:
         raise ConfigError("cannot fit a normalizer on an empty training set")
-    blocks = []
-    for task in train_tasks:
-        blocks.append(task.p_obs)
-        if task.p_gt is not None:
-            blocks.append(task.p_gt)
-    stacked = np.concatenate(blocks, axis=0)
+    stacked = np.concatenate([block for task in train_tasks
+                              for block in (task.p_obs, task.p_gt)], axis=0)
     mean = stacked.mean(axis=0)
     std = np.maximum(stacked.std(axis=0), STD_FLOOR)
     return Normalizer(mean, std)

@@ -314,10 +314,10 @@ def linear(x, w, b=None) -> Tensor:
     is one 2-D GEMM and each matrix gradient is one GEMM over all rows:
     dL/dx = g @ w^T and dL/dw = x^T @ g; dL/db is the column sums of g.
 
-    With one output column (N = 1) the forward is a row-wise reduction
-    instead: numpy hands such a product to gemv, whose bits for a row
-    depend on how many rows come with it, and a row's value must not
-    depend on the batch (sample 0 is the same for any sample count).
+    numpy hands a product with one output column (N = 1) or one row to
+    gemv, whose bits for a row differ from gemm's, and a row's value must
+    not depend on the batch (sample 0 is the same for any sample count).
+    So N = 1 is a row-wise reduction, and one row is multiplied stacked twice.
     """
     x, w = _coerce(x), _coerce(w)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
@@ -332,7 +332,10 @@ def linear(x, w, b=None) -> Tensor:
         inputs.append(b)
     xsh = x.data.shape
     x2, wd = x.data.reshape(-1, c), w.data
-    out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True) if n == 1 else x2 @ wd
+    if n == 1:
+        out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True)
+    else:
+        out = (np.concatenate([x2, x2]) @ wd)[:1] if len(x2) == 1 else x2 @ wd
     if b is not None:
         out += b.data
     # the pullback captures a bool, not b: a taped tensor held by a record

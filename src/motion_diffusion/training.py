@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -146,8 +146,6 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         raise ConfigError(
             f"schedule K={sched.k_steps} != denoiser K={den_cfg.k_steps}")
     for task in tasks:
-        if task.p_gt is None:
-            raise ContractError("every training task needs ground-truth frames")
         if task.p_obs.shape != (den_cfg.t_obs, den_cfg.dim):
             raise DimensionError(
                 f"task observation shape {task.p_obs.shape} != "
@@ -231,7 +229,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += len(raw)
     manifest = {
         "version": CKPT_VERSION,
-        "denoiser_config": ckpt.denoiser_config.to_dict(),
+        "denoiser_config": asdict(ckpt.denoiser_config),
         "schedule": {"k_steps": ckpt.schedule.k_steps,
                      "beta_min": ckpt.schedule.beta_min,
                      "beta_max": ckpt.schedule.beta_max},
@@ -293,6 +291,9 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state = manifest["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint manifest is malformed: {exc!r}") from exc
+    if sched.k_steps != den_cfg.k_steps:
+        raise IntegrityError(f"checkpoint schedule K={sched.k_steps} != "
+                             f"denoiser K={den_cfg.k_steps}")
     try:
         np.random.PCG64().state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

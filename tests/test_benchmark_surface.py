@@ -3,7 +3,8 @@
 perfbench/ is outside the default test paths, so a rename that breaks the
 benchmark's tracer or workloads would otherwise pass here unnoticed.  The
 perfbench files are only read: tracer.py is imported from its path and
-workloads.py is scanned as text.
+workloads.py is scanned as text.  The attributes the workloads read from
+returned objects are checked on objects built at the TOY shape.
 """
 
 import importlib
@@ -15,6 +16,7 @@ import pytest
 
 import motion_diffusion as md
 from motion_diffusion import cli
+from motion_diffusion.gradcheck import TOY_CONFIG
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -59,3 +61,40 @@ def test_every_md_name_in_the_workloads_exists():
         names = set(re.findall(r"\bmd\.([A-Za-z_]\w*)", fh.read()))
     assert names, "workloads.py no longer calls the package as md"
     assert sorted(n for n in names if not hasattr(md, n)) == []
+
+
+# (type name, attribute) pairs read by perfbench/workloads.py
+RETURNED_ATTRIBUTES = [
+    ("PredictionTask", "dim"), ("PredictionTask", "p_obs"),
+    ("Normalizer", "apply_task"),
+    ("TrainResult", "losses"), ("TrainResult", "model"), ("TrainResult", "checkpoint"),
+    ("DenoiserModel", "params"), ("DenoiserModel", "pred_shape"),
+    ("Checkpoint", "params"), ("Checkpoint", "adam_m"), ("Checkpoint", "adam_v"),
+    ("Checkpoint", "normalizer"), ("Checkpoint", "iteration"),
+    ("Checkpoint", "rng_state"), ("Checkpoint", "denoiser_config"),
+    ("SampleSet", "samples"),
+    ("MotionSequence", "frames"),
+]
+
+
+@pytest.fixture(scope="module")
+def toy_objects():
+    span = TOY_CONFIG["t_obs"] + TOY_CONFIG["l_pred"]
+    seq = md.synth_dataset(n_joints=TOY_CONFIG["dim"] // 3, n_sequences=1,
+                           frames_per_sequence=span + 1, fps=25.0,
+                           action_mix={"walk": 1.0}, seed=0)[0]
+    tasks = md.window_split(seq, TOY_CONFIG["t_obs"], TOY_CONFIG["l_pred"], 1)
+    norm = md.fit_normalizer(tasks)
+    cfg = md.DenoiserConfig(variant="parallel", **TOY_CONFIG)
+    sched = md.build_schedule(TOY_CONFIG["k_steps"], 0.001, 0.333)
+    result = md.train([norm.apply_task(t) for t in tasks], cfg,
+                      md.TrainConfig(batch_size=2, iterations=1), sched, normalizer=norm)
+    objects = [seq, tasks[0], norm, result, result.model, result.checkpoint,
+               md.sample_stochastic(result.model, tasks[0].p_obs, 2, 0, sched)]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+@pytest.mark.parametrize("kind, attr", RETURNED_ATTRIBUTES,
+                         ids=[f"{k}.{a}" for k, a in RETURNED_ATTRIBUTES])
+def test_returned_object_has_the_attribute(toy_objects, kind, attr):
+    assert hasattr(toy_objects[kind], attr), f"{kind}.{attr}"

@@ -402,6 +402,24 @@ class TestSampleCmd:
                      "--checkpoint", str(bad), "--data", dataset,
                      *WINDOW_ARGS]) == 1
 
+    @pytest.mark.parametrize("k_steps", [2, 5])
+    def test_schedule_k_other_than_the_model_k_exits_1(self, tmp_path, checkpoint,
+                                                       dataset, capsys, k_steps):
+        # fewer steps would sample silently with a truncated chain, more
+        # would fail mid-chain; the checkpoint is rejected when it loads
+        blob = open(checkpoint, "rb").read()
+        nl = blob.index(b"\n")
+        manifest = json.loads(blob[:nl])
+        manifest["schedule"]["k_steps"] = k_steps
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        for mode in ("stochastic", "deterministic"):
+            assert main(["sample", "--out", str(tmp_path / mode),
+                         "--checkpoint", str(bad), "--data", dataset,
+                         *WINDOW_ARGS, "--mode", mode, "--n", "2"]) == 1
+            assert f"schedule K={k_steps}" in capsys.readouterr().err
+            assert not (tmp_path / mode).exists()
+
     def test_divergence_names_the_diffusion_step(self, tmp_path, checkpoint,
                                                  dataset, capsys):
         # an output head scaled to 1e305 overflows the reverse chain
@@ -429,7 +447,8 @@ class TestSampleCmd:
                      "--data", str(bad), *args]) == 2
 
 
-def build_sample_run(path, task_samples, gt_list, mode="stochastic", fps=25.0):
+def build_sample_run(path, task_samples, gt_list, mode="stochastic", fps=25.0,
+                     representation="euler"):
     """Hand-build a sample run directory the eval command can consume."""
     os.makedirs(path)
     entries = []
@@ -439,19 +458,19 @@ def build_sample_run(path, task_samples, gt_list, mode="stochastic", fps=25.0):
         entry = {"index": i, "dir": f"task_{i:03d}", "files": [], "gt": "gt.mseq"}
         md.save_motion_file(os.path.join(task_dir, "gt.mseq"),
                             md.MotionSequence(frames=gt, fps=fps,
-                                              representation="euler"))
+                                              representation=representation))
         stem = "det" if mode == "deterministic" else "sample_{:03d}"
         for j, frames in enumerate(samples):
             name = (stem + ".mseq") if mode == "deterministic" else (
                 stem.format(j) + ".mseq")
             md.save_motion_file(os.path.join(task_dir, name),
                                 md.MotionSequence(frames=frames, fps=fps,
-                                                  representation="euler"))
+                                                  representation=representation))
             entry["files"].append(name)
         entries.append(entry)
     with open(os.path.join(path, "samples_manifest.json"), "w") as fh:
         json.dump({"mode": mode, "n": len(task_samples[0]), "seed": 0,
-                   "fps": fps, "representation": "euler",
+                   "fps": fps, "representation": representation,
                    "l_pred": gt_list[0].shape[0], "dim": gt_list[0].shape[1],
                    "tasks": entries}, fh)
 
@@ -538,9 +557,10 @@ class TestEvalCmd:
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(files=[])),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(dir=3)),
         lambda path: rewrite_json(path, lambda m: m.pop("fps")),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].pop("gt")),
     ], ids=["truncated", "not-utf8", "not-object", "no-mode", "no-tasks",
             "tasks-not-list", "task-no-files", "task-empty-files",
-            "task-dir-not-string", "no-fps"])
+            "task-dir-not-string", "no-fps", "task-no-gt"])
     @pytest.mark.parametrize("role", ["samples", "det"])
     def test_malformed_samples_manifest_exits_2(self, tmp_path, edit, role):
         rng = np.random.default_rng(5)
@@ -551,6 +571,37 @@ class TestEvalCmd:
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--samples", str(tmp_path / "s"),
                      "--det", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("representation, horizons, columns", [
+        ("euler", "80", ["euler_mse_80ms"]),
+        ("xyz", "80", []),  # the angle MSE scores euler angles only
+        # past the last frame, however large: omitted, not an overflow
+        ("euler", "80,1" + "0" * 308, ["euler_mse_80ms"]),
+        ("euler", "80,1" + "0" * 400, ["euler_mse_80ms"]),
+    ], ids=["euler", "xyz", "horizon-1e308", "horizon-1e400"])
+    def test_euler_mse_columns(self, tmp_path, representation, horizons, columns):
+        rng = np.random.default_rng(6)
+        gt = rng.normal(size=(5, 6))
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+        build_sample_run(tmp_path / "d", [[gt + 0.5]], [gt], mode="deterministic",
+                         representation=representation)
+        out = tmp_path / "e"
+        assert main(["eval", "--out", str(out), "--samples", str(tmp_path / "s"),
+                     "--det", str(tmp_path / "d"), "--horizons", horizons]) == 0
+        with open(os.path.join(only_run_dir(out, "eval"), "metrics.csv"),
+                  newline="") as fh:
+            header = next(csv.reader(fh))
+        assert [c for c in header if c.startswith("euler_mse_")] == columns
+
+    @pytest.mark.parametrize("horizons", ["0", "80,0", "-80"])
+    def test_horizon_not_positive_exits_2(self, tmp_path, capsys, horizons):
+        rng = np.random.default_rng(8)
+        gt = rng.normal(size=(5, 6))
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+        assert main(["eval", "--out", str(tmp_path / "e"), "--samples",
+                     str(tmp_path / "s"), f"--horizons={horizons}"]) == 2
+        assert "positive" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_pipeline_with_deterministic_merge(self, tmp_path, checkpoint,
                                                dataset):
@@ -648,6 +699,11 @@ BAD_VALUES = {
     "synth-action-weight-inf": lambda d, data: ["synth", "--actions", "walk:inf"],
     "synth-fps-nan": lambda d, data: ["synth", "--fps", "nan"],
     "synth-fps-inf": lambda d, data: ["synth", "--fps", "inf"],
+    # rejected before any sequence is generated, even when none would be
+    "synth-representation-0-sequences": lambda d, data: [
+        "synth", "--representation", "quaternion", "--n-sequences", "0"],
+    "synth-representation-8-sequences": lambda d, data: [
+        "synth", "--representation", "quaternion", "--n-sequences", "8"],
     "train-grad-clip-nan": lambda d, data: [
         "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--grad-clip", "nan"],
 }

@@ -1,14 +1,15 @@
 """Denoiser architecture: encodings, attention blocks, variant wiring,
 parameter inventory, and evaluation-count bookkeeping."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import motion_diffusion.numerics as nm
 from motion_diffusion import denoiser as dn
 from motion_diffusion.denoiser import (OUT_HEAD_SCALE, DenoiserConfig, DenoiserModel,
-                                       init_denoiser, param_count, param_shapes,
-                                       positional_encoding)
+                                       init_denoiser, param_shapes, positional_encoding)
 from motion_diffusion.diffusion import (batch_noise_loss, build_schedule,
                                        sample_stochastic)
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
@@ -48,7 +49,7 @@ class TestConfig:
 
     def test_round_trips_through_dict(self):
         cfg = toy_config("parallel")
-        assert DenoiserConfig(**cfg.to_dict()) == cfg
+        assert DenoiserConfig(**asdict(cfg)) == cfg
 
 
 class TestAssembleInput:
@@ -92,6 +93,10 @@ class TestPositionalEncoding:
             positional_encoding(4, 7)
 
 
+def param_count(cfg) -> int:
+    return sum(int(np.prod(shape)) for shape in param_shapes(cfg).values())
+
+
 class TestParameterInventory:
     def test_series_count_closed_form(self):
         # 24 c^2 + (K + 28) c + 1 with c = 16, K = 5
@@ -104,9 +109,8 @@ class TestParameterInventory:
     def test_count_matches_shape_table(self):
         for variant in ("series", "parallel"):
             cfg = toy_config(variant)
-            shapes = param_shapes(cfg)
-            assert param_count(cfg) == sum(
-                int(np.prod(s)) for s in shapes.values())
+            params = init_denoiser(cfg, seed=0).params
+            assert param_count(cfg) == sum(a.size for a in params.values())
 
     def test_init_matches_shape_table(self):
         cfg = toy_config("parallel")

@@ -212,9 +212,16 @@ class TestEulerMse:
 
     def test_out_of_range_horizons_omitted(self):
         gt = np.zeros((4, 3))
-        out = md.euler_mse(gt, gt, fps=25.0, horizons_ms=[10, 80, 1000])
-        # 10ms rounds to frame 0; 1000ms needs frame 25 > 4
+        out = md.euler_mse(gt, gt, fps=25.0,
+                           horizons_ms=[10, 80, 1000, 10 ** 308, 10 ** 400, -10 ** 400])
+        # 10ms rounds to frame 0; 1000ms needs frame 25 > 4; the huge ones
+        # are compared with the last frame before they could overflow a float
         assert sorted(out) == [80]
+
+    def test_every_horizon_inside_the_frames_kept(self):
+        # at 25 fps frames 1..4 are the horizons 20..179 ms (half frames round up)
+        gt = np.zeros((4, 3))
+        assert sorted(md.euler_mse(gt, gt, 25.0, range(-5, 400))) == list(range(20, 180))
 
     def test_shape_guard(self):
         with pytest.raises(DimensionError):
@@ -259,8 +266,6 @@ class TestReport:
         assert md.compute_report(s, det, (80,)).euler_mse_by_horizon
         assert not md.compute_report(s, None, (80,)).euler_mse_by_horizon
         assert not md.compute_report(s, det, ()).euler_mse_by_horizon
-        assert not md.compute_report(
-            s, det, (80,), representation="xyz").euler_mse_by_horizon
         no_fps = md.SampleSet(samples=s.samples, ground_truth=s.ground_truth)
         assert not md.compute_report(no_fps, det, (80,)).euler_mse_by_horizon
 

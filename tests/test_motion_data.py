@@ -32,8 +32,8 @@ class TestTypes:
     def test_prediction_task_validates(self):
         with pytest.raises(ContractError):
             mdata.PredictionTask(np.ones((2, 6)), np.ones((3, 9)))
-        task = mdata.PredictionTask(np.ones((2, 6)))
-        assert task.p_gt is None
+        with pytest.raises(TypeError):
+            mdata.PredictionTask(np.ones((2, 6)))  # every task has a future
 
 
 class TestSynth:

@@ -280,8 +280,6 @@ class TestTrainLoop:
         sched = toy_sched(cfg)
         with pytest.raises(ContractError):
             md.train([], cfg, tr, sched)
-        with pytest.raises(ContractError):
-            md.train([md.PredictionTask(np.zeros((3, 5)))], cfg, tr, sched)
         with pytest.raises(DimensionError):
             md.train([md.PredictionTask(np.zeros((4, 5)), np.zeros((4, 5)))],
                      cfg, tr, sched)
@@ -432,13 +430,17 @@ class TestCheckpointIO:
         lambda m: m["rng_state"].pop("has_uint32"),
         lambda m: m["rng_state"]["state"].update(state=-1),
         lambda m: m["rng_state"]["state"].update(inc=None),
+        # the schedule's K must be the denoiser's K (5)
+        lambda m: m["schedule"].update(k_steps=3),
+        lambda m: m["schedule"].update(k_steps=8),
     ], ids=["no-tensors", "config-key-missing", "config-value-type",
             "schedule-extra-key", "schedule-bad-value", "no-rng-state",
             "iteration-not-int", "iteration-negative", "tensors-not-list",
             "entry-not-object", "entry-no-shape", "entry-negative-shape",
             "entry-offset-string", "entry-crc-null", "entry-name-not-string",
             "rng-state-not-object", "rng-state-other-generator",
-            "rng-state-key-missing", "rng-state-negative", "rng-state-inc-null"])
+            "rng-state-key-missing", "rng-state-negative", "rng-state-inc-null",
+            "schedule-k-below-model", "schedule-k-above-model"])
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         _, path, _ = self.trained_checkpoint(tmp_path)
         self.edit_manifest(path, mutate)
