@@ -29,7 +29,8 @@ from .denoiser import DenoiserConfig
 from .diffusion import build_schedule, sample_deterministic, sample_stochastic
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      NumericsError, ParseError, SamplingDivergedError,
-                     TrainingDivergedError, UndefinedMetricError)
+                     TrainingDivergedError, UndefinedMetricError, check_count,
+                     check_frame_rate)
 from .gradcheck import run_suite
 from .metrics import SampleSet, compute_report, write_report_csv
 from .motion_data import (MotionSequence, fit_normalizer, load_dataset, load_motion_file,
@@ -179,6 +180,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
     missing = [k for k, v in resolved.items() if v is REQUIRED]
     if missing:
         raise ConfigError(f"missing required setting(s): {', '.join(sorted(missing))}")
+    for key in sorted({"seed", "split_seed"} & resolved.keys()):
+        check_count(resolved[key], 0, key, ConfigError)
     return resolved
 
 
@@ -193,8 +196,6 @@ def parse_action_mix(text: str) -> dict[str, float]:
             mix[name.strip()] = float(weight) if weight else 1.0
         except ValueError:
             raise ConfigError(f"bad action weight in {part!r}")
-    if not mix:
-        raise ConfigError(f"action mix {text!r} is empty")
     return mix
 
 
@@ -203,9 +204,7 @@ def _parse_horizons(text: str) -> list[int]:
         horizons = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"horizons must be comma-separated integers, got {text!r}")
-    if any(ms < 1 for ms in horizons):
-        raise ConfigError(f"horizons must be positive, got {text!r}")
-    return horizons
+    return [check_count(ms, 1, f"horizon in {text!r}", ConfigError) for ms in horizons]
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +237,21 @@ def write_run_manifest(run_dir: str, command: str, resolved: dict) -> None:
         fh.write("\n")
 
 
-def _dataset_tasks(cfg: dict, manifest_path: str):
-    """Load sequences, window them, and split train/val by sequence."""
-    for key in ("t_obs", "l_pred", "stride"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    seqs = load_dataset(manifest_path)
+def _dataset_tasks(cfg: dict, dim: int | None = None):
+    """Window and split the dataset by sequence; its dimension must be `dim` if given."""
+    seqs = load_dataset(cfg["data"])
     if not seqs:
-        raise ConfigError(f"dataset manifest {manifest_path!r} lists no sequences")
+        raise ConfigError(f"dataset manifest {cfg['data']!r} lists no sequences")
     meta = {"fps": seqs[0].fps, "representation": seqs[0].representation,
             "dim": seqs[0].dim}
     for i, seq in enumerate(seqs):
         for key, value in meta.items():
             if getattr(seq, key) != value:
                 raise ConfigError(
-                    f"dataset manifest {manifest_path!r}: sequence {i} has {key} "
+                    f"dataset manifest {cfg['data']!r}: sequence {i} has {key} "
                     f"{getattr(seq, key)!r}, sequence 0 has {value!r}")
+    if dim is not None and meta["dim"] != dim:
+        raise ConfigError(f"dataset dimension {meta['dim']} != checkpoint dimension {dim}")
     train_seqs, val_seqs = split_sequences(
         seqs, train_fraction=cfg["train_fraction"], seed=cfg["split_seed"])
     def windows(group):
@@ -289,7 +287,8 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    train_tasks, _, meta = _dataset_tasks(cfg, cfg["data"])
+    start = load_checkpoint(cfg["resume"]) if cfg["resume"] else None
+    train_tasks, _, meta = _dataset_tasks(cfg, start and start.denoiser_config.dim)
     if not train_tasks:
         raise ConfigError(
             "no training windows: sequences shorter than t_obs + l_pred")
@@ -302,12 +301,8 @@ def cmd_train(cfg: dict) -> int:
         checkpoint_every=cfg["checkpoint_every"], grad_clip=cfg["grad_clip"])
     sched = build_schedule(cfg["k_steps"], cfg["beta_min"], cfg["beta_max"])
 
-    if cfg["resume"]:
-        start = load_checkpoint(cfg["resume"])
+    if start is not None:
         cfg = {**cfg, "seed": None}  # the stream continues from the checkpoint
-        if start.denoiser_config.dim != den_cfg.dim:
-            raise ConfigError(f"dataset dimension {den_cfg.dim} != checkpoint "
-                              f"dimension {start.denoiser_config.dim}")
     else:
         start = initial_checkpoint(den_cfg, sched, fit_normalizer(train_tasks),
                                    cfg["seed"])
@@ -346,18 +341,15 @@ def cmd_sample(cfg: dict) -> int:
                           f"got {cfg['mode']!r}")
     if cfg["split"] not in ("train", "val", "all"):
         raise ConfigError(f"split must be train, val or all, got {cfg['split']!r}")
-    if cfg["n"] < 1:
-        raise ConfigError(f"n must be >= 1, got {cfg['n']}")
+    check_count(cfg["n"], 1, "n", ConfigError)
+    check_count(cfg["limit"], 0, "limit", ConfigError)
     ckpt = load_checkpoint(cfg["checkpoint"])
     den_cfg = ckpt.denoiser_config
     if (cfg["t_obs"], cfg["l_pred"]) != (den_cfg.t_obs, den_cfg.l_pred):
         raise ConfigError(
             f"window extents ({cfg['t_obs']}, {cfg['l_pred']}) do not match "
             f"the checkpoint ({den_cfg.t_obs}, {den_cfg.l_pred})")
-    train_tasks, val_tasks, meta = _dataset_tasks(cfg, cfg["data"])
-    if meta["dim"] != den_cfg.dim:
-        raise ConfigError(
-            f"dataset dimension {meta['dim']} != checkpoint dimension {den_cfg.dim}")
+    train_tasks, val_tasks, meta = _dataset_tasks(cfg, den_cfg.dim)
     tasks = {"train": train_tasks, "val": val_tasks,
              "all": train_tasks + val_tasks}[cfg["split"]]
     if cfg["limit"] > 0:
@@ -403,9 +395,8 @@ def cmd_sample(cfg: dict) -> int:
     return 0
 
 
-SAMPLES_MANIFEST_KEYS = {"mode": str, "fps": (int, float), "representation": str,
-                         "tasks": list}
-SAMPLES_TASK_KEYS = {"index": int, "dir": str, "gt": str, "files": list}
+SAMPLES_MANIFEST_KEYS = {"mode": str, "representation": str, "tasks": list}
+SAMPLES_TASK_KEYS = {"dir": str, "gt": str, "files": list}
 
 
 def _has_fields(obj, fields: dict) -> bool:
@@ -425,6 +416,9 @@ def _load_samples_manifest(path: str) -> tuple[dict, str]:
         raise ParseError(f"{path}: samples manifest needs "
                          f"{sorted(SAMPLES_MANIFEST_KEYS)} and task entries with "
                          f"{sorted(SAMPLES_TASK_KEYS)}", offset=0)
+    check_frame_rate(manifest.get("fps"), f"{path}: samples manifest fps", ParseError)
+    for entry in manifest["tasks"]:
+        check_count(entry.get("index"), 0, f"{path}: task index", ParseError)
     return manifest, os.path.dirname(os.path.abspath(path))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, check_count
 
 VARIANTS = ("series", "parallel")
 
@@ -54,8 +54,7 @@ class DenoiserConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("model_dim", "n_heads", "t_obs", "l_pred", "dim", "k_steps"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(getattr(self, name), 1, name, ConfigError)
         if self.model_dim % self.n_heads:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}")
@@ -177,10 +176,9 @@ def init_denoiser(config: DenoiserConfig, seed: int) -> DenoiserModel:
 
 def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
     """Sinusoid table: PE[p, 2i] = sin(p / 10000^(2i/dim)), PE[p, 2i+1] = cos."""
-    if model_dim % 2:
+    check_count(axis_len, 1, "axis_len", ConfigError)
+    if check_count(model_dim, 2, "model_dim", ConfigError) % 2:
         raise ConfigError(f"model_dim must be even, got {model_dim}")
-    if axis_len < 1 or model_dim < 2:
-        raise ConfigError("positional encoding needs axis_len >= 1 and model_dim >= 2")
     pos = np.arange(axis_len)[:, None]
     freq = np.power(10000.0, -np.arange(0, model_dim, 2) / model_dim)
     table = np.empty((axis_len, model_dim))

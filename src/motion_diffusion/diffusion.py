@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import (ConfigError, ContractError, DimensionError, NumericsError,
-                     SamplingDivergedError)
+                     SamplingDivergedError, check_count)
 from .metrics import SampleSet
 
 
@@ -65,8 +65,7 @@ class NoiseSchedule:
 
 def build_schedule(k_steps: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linear beta schedule: beta_1 = beta_min, beta_K = beta_max exactly."""
-    if k_steps < 1:
-        raise ConfigError(f"k_steps must be >= 1, got {k_steps}")
+    check_count(k_steps, 1, "k_steps", ConfigError)
     if not (0.0 < beta_min <= beta_max < 1.0):
         raise ConfigError(
             f"need 0 < beta_min <= beta_max < 1, got [{beta_min}, {beta_max}]")
@@ -212,8 +211,7 @@ def sample_stochastic(model, p_obs: np.ndarray, n_samples: int, seed: int,
     draw from the stream of (seed, i): sample i does not depend on
     n_samples, and the same seed gives the same samples, bit for bit.
     """
-    if n_samples < 1:
-        raise ContractError(f"n_samples must be >= 1, got {n_samples}")
+    check_count(n_samples, 1, "n_samples", ContractError)
     shape = (sched.k_steps,) + model.pred_shape
     noise = np.stack([
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))

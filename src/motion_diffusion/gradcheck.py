@@ -25,6 +25,7 @@ import numpy as np
 from . import numerics as nm
 from .denoiser import DenoiserConfig, init_denoiser
 from .diffusion import batch_noise_loss, build_schedule
+from .errors import ConfigError, check_count
 
 DEFAULT_STEP = 1e-5
 DEFAULT_THRESHOLD = 1e-4
@@ -229,6 +230,7 @@ class GradCheckReport:
 def run_suite(seed: int = 0, n_probes: int = 8,
               threshold: float = DEFAULT_THRESHOLD) -> GradCheckReport:
     """Op-level and end-to-end checks on both variants at the toy config."""
+    check_count(n_probes, 1, "n_probes", ConfigError)
     op_errors = check_ops(seed=seed)
     sched = build_schedule(TOY_CONFIG["k_steps"], 0.001, 0.333)
     probe_results = {}

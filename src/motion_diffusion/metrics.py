@@ -14,12 +14,11 @@ per-sample quantities; angle differences wrap to (-pi, pi].
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, UndefinedMetricError
+from .errors import ContractError, DimensionError, UndefinedMetricError, check_frame_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +44,8 @@ class SampleSet:
             if not np.all(np.isfinite(g)):
                 raise ContractError("ground truth contains non-finite values")
             object.__setattr__(self, "ground_truth", g)
-        if self.fps is not None and not 0 < self.fps < math.inf:
-            raise ContractError(f"fps must be positive and finite, got {self.fps}")
+        if self.fps is not None:
+            check_frame_rate(self.fps, "fps", ContractError)
 
     @property
     def n_samples(self) -> int:
@@ -108,8 +107,9 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
               horizons_ms: tuple[int, ...] | list[int]) -> dict[int, float]:
     """Mean squared wrapped angle error at each millisecond horizon.
 
-    A horizon selects the 1-based frame round(ms * fps / 1000); horizons
-    that fall outside 1..L, however large, are omitted from the result
+    A horizon selects the 1-based frame round(ms * fps / 1000), halves
+    rounding up, computed exactly in integers, so no horizon overflows;
+    horizons that select no frame in 1..L are omitted from the result
     rather than raising.
     """
     pred = np.asarray(pred, dtype=np.float64)
@@ -117,18 +117,13 @@ def euler_mse(pred: np.ndarray, gt: np.ndarray, fps: float,
     if pred.shape != gt.shape or pred.ndim != 2:
         raise DimensionError(
             f"pred and gt must share an (L, D) shape, got {pred.shape} vs {gt.shape}")
-    if not 0 < fps < math.inf:
-        raise ContractError(f"fps must be positive and finite, got {fps}")
+    num, den = check_frame_rate(fps, "fps", ContractError).as_integer_ratio()
     out: dict[int, float] = {}
-    past_ms = (pred.shape[0] + 1) * 1000.0 / fps  # rounds to frame L + 1 or later
-    for ms in horizons_ms:
-        if not 0 < ms < past_ms:  # before ms meets a float op, which could overflow
-            continue
-        frame = int(math.floor(ms * fps / 1000.0 + 0.5))
-        if frame < 1 or frame > pred.shape[0]:
-            continue
-        d = wrap_angle(pred[frame - 1] - gt[frame - 1])
-        out[int(ms)] = float(np.mean(d * d))
+    for ms in map(int, horizons_ms):
+        frame = (2 * ms * num + 1000 * den) // (2000 * den)  # floor(ms*fps/1000 + 1/2)
+        if 1 <= frame <= pred.shape[0]:
+            d = wrap_angle(pred[frame - 1] - gt[frame - 1])
+            out[ms] = float(np.mean(d * d))
     return out
 
 

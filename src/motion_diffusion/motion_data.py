@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError
+from .errors import (ConfigError, ContractError, ParseError, check_count,
+                     check_frame_rate)
 
 REPRESENTATIONS = ("euler", "axis-angle", "xyz")
 
@@ -55,8 +56,7 @@ class MotionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "frames", _check_frames(self.frames))
-        if not 0 < self.fps < np.inf:
-            raise ContractError(f"fps must be positive and finite, got {self.fps}")
+        check_frame_rate(self.fps, "fps", ContractError)
         if self.representation not in REPRESENTATIONS:
             raise ContractError(
                 f"unknown representation {self.representation!r}, "
@@ -114,14 +114,10 @@ def synth_dataset(n_joints: int, n_sequences: int, frames_per_sequence: int,
     if representation not in REPRESENTATIONS:
         raise ConfigError(f"unknown representation {representation!r}, "
                           f"expected one of {REPRESENTATIONS}")
-    if n_joints < 2:
-        raise ConfigError(f"n_joints must be >= 2, got {n_joints}")
-    if n_sequences < 0:
-        raise ConfigError(f"n_sequences must be >= 0, got {n_sequences}")
-    if frames_per_sequence < 1:
-        raise ConfigError(f"frames_per_sequence must be >= 1, got {frames_per_sequence}")
-    if not 0 < fps < np.inf:
-        raise ConfigError(f"fps must be positive and finite, got {fps}")
+    check_count(n_joints, 2, "n_joints", ConfigError)
+    check_count(n_sequences, 0, "n_sequences", ConfigError)
+    check_count(frames_per_sequence, 1, "frames_per_sequence", ConfigError)
+    check_frame_rate(fps, "fps", ConfigError)
     if not action_mix:
         raise ConfigError("action_mix is empty")
     for name in action_mix:
@@ -158,12 +154,11 @@ def window_split(seq: MotionSequence, t_obs: int, l_pred: int,
 
     Windows start at 0, stride, 2*stride, ...; a window spans t_obs
     observed frames followed by l_pred future frames.  Too-short
-    sequences yield an empty list, not an error.
+    sequences yield an empty list, not an error; an extent that is not
+    a count of at least 1 is a ConfigError.
     """
-    if t_obs < 1 or l_pred < 1:
-        raise ContractError(f"window extents must be >= 1, got T={t_obs}, L={l_pred}")
-    if stride < 1:
-        raise ContractError(f"stride must be >= 1, got {stride}")
+    for name, value in (("t_obs", t_obs), ("l_pred", l_pred), ("stride", stride)):
+        check_count(value, 1, name, ConfigError)
     f = seq.n_frames
     span = t_obs + l_pred
     tasks = []
@@ -265,20 +260,15 @@ def load_motion_file(path: str) -> MotionSequence:
         raise ParseError("header is not a JSON object", offset=0)
     if header.get("version") != MSEQ_VERSION:
         raise ParseError(f"unsupported version {header.get('version')!r}", offset=0)
+    n_frames = check_count(header.get("F"), 1, "header F", ParseError)
+    dim = check_count(header.get("D"), 3, "header D", ParseError)
+    if dim % 3 != 0:
+        raise ParseError(f"header D={dim} is not a multiple of 3", offset=0)
+    fps = check_frame_rate(header.get("fps"), "header fps", ParseError)
     try:
-        n_frames = int(header["F"])
-        dim = int(header["D"])
-        fps = float(header["fps"])
-        representation = header["repr"]
-        label = header["label"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad header field: {exc}", offset=0) from exc
-    if n_frames < 1:
-        raise ParseError(f"header F={n_frames} must be >= 1", offset=0)
-    if not 0 < fps < np.inf:
-        raise ParseError(f"header fps={fps} must be positive and finite", offset=0)
-    if dim < 3 or dim % 3 != 0:
-        raise ParseError(f"header D={dim} is not a positive multiple of 3", offset=0)
+        representation, label = header["repr"], header["label"]
+    except KeyError as exc:
+        raise ParseError(f"missing header field {exc}", offset=0) from exc
     if representation not in REPRESENTATIONS:
         raise ParseError(f"unknown representation {representation!r}", offset=0)
     if label is not None and not isinstance(label, str):

@@ -14,6 +14,7 @@ float64 tensor payload.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -23,7 +24,7 @@ from . import numerics as nm
 from .denoiser import DenoiserConfig, DenoiserModel, init_denoiser, param_shapes
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, check_count)
 from .motion_data import Normalizer, PredictionTask
 
 CKPT_VERSION = 1
@@ -43,8 +44,8 @@ class TrainConfig:
     grad_clip: float = 0.0  # global-norm clip; 0 disables
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.iterations < 1 or self.checkpoint_every < 1:
-            raise ConfigError("batch_size, iterations, checkpoint_every must be >= 1")
+        for name in ("batch_size", "iterations", "checkpoint_every"):
+            check_count(getattr(self, name), 1, name, ConfigError)
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not self.grad_clip >= 0:  # NaN would turn clipping off
@@ -57,8 +58,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """Bias-corrected Adam update, in place; t is the 1-based step count."""
     if set(params) != set(grads) or set(params) != set(m) or set(params) != set(v):
         raise ContractError("params, grads and moments must share one name set")
-    if t < 1:
-        raise ContractError(f"step count t must be >= 1, got {t}")
+    check_count(t, 1, "step count t", ContractError)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"gradient for {name!r} is non-finite", t)
@@ -245,25 +245,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(raw)
 
 
-def _int_field(value, what: str) -> int:
-    # bool is an int subclass; a manifest never stores one as a count
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise IntegrityError(f"checkpoint {what} must be a non-negative integer, "
-                             f"got {value!r}")
-    return value
-
-
 def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
     """Validate one tensor index entry: (name, shape, offset, crc32)."""
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise IntegrityError(f"malformed checkpoint tensor entry {entry!r}")
     name = entry["name"]
-    shape = entry.get("shape")
-    if not isinstance(shape, list):
+    if not isinstance(entry.get("shape"), list):
         raise IntegrityError(f"tensor {name!r} has no shape list")
-    shape = tuple(_int_field(n, f"tensor {name!r} extent") for n in shape)
-    return (name, shape, _int_field(entry.get("offset"), f"tensor {name!r} offset"),
-            _int_field(entry.get("crc32"), f"tensor {name!r} crc32"))
+    def count(value, what: str) -> int:
+        return check_count(value, 0, f"tensor {name!r} {what}", IntegrityError)
+    return (name, tuple(count(n, "extent") for n in entry["shape"]),
+            count(entry.get("offset"), "offset"), count(entry.get("crc32"), "crc32"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -284,27 +276,26 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported checkpoint version {manifest.get('version')!r}")
     try:
         den_cfg = DenoiserConfig(**manifest["denoiser_config"])
-        sched = build_schedule(**manifest["schedule"])
+        sched_k = manifest["schedule"]["k_steps"]
         entries = manifest["tensors"]
         has_normalizer = manifest["normalizer"]
-        iteration = manifest["iteration"]
+        iteration = check_count(manifest["iteration"], 0, "iteration", ValueError)
         rng_state = manifest["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint manifest is malformed: {exc!r}") from exc
-    if sched.k_steps != den_cfg.k_steps:
-        raise IntegrityError(f"checkpoint schedule K={sched.k_steps} != "
-                             f"denoiser K={den_cfg.k_steps}")
+    if sched_k != den_cfg.k_steps:  # built below, once step_emb (K+1, c) bounds K
+        raise IntegrityError(f"checkpoint schedule K={sched_k!r} != "
+                             f"denoiser k_steps={den_cfg.k_steps}")
     try:
         np.random.PCG64().state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from exc
     if not isinstance(entries, list):
         raise IntegrityError("checkpoint tensor index is not a list")
-    iteration = _int_field(iteration, "iteration")
     payload = blob[nl + 1:]
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset, crc in map(_tensor_entry, entries):
-        size = int(np.prod(shape, dtype=np.int64)) * 8
+        size = math.prod(shape) * 8
         raw = payload[offset:offset + size]
         if len(raw) != size:
             raise IntegrityError(f"tensor {name!r} is truncated")
@@ -323,6 +314,10 @@ def load_checkpoint(path) -> Checkpoint:
                 raise IntegrityError(
                     f"tensor {key!r} has shape {tensors[key].shape}, not {shape}")
             dest[name] = tensors[key]
+    try:
+        sched = build_schedule(**manifest["schedule"])
+    except (TypeError, ValueError) as exc:
+        raise IntegrityError(f"checkpoint schedule is malformed: {exc!r}") from exc
     if not has_normalizer:  # a file saved before every checkpoint carried one
         tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))
     if "norm.mean" not in tensors or "norm.std" not in tensors:

@@ -297,6 +297,7 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert "dimension" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     def test_resume_with_another_schedule_exits_2(self, tmp_path, dataset,
                                                   checkpoint, capsys):
@@ -401,6 +402,36 @@ class TestSampleCmd:
         assert main(["sample", "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad), "--data", dataset,
                      *WINDOW_ARGS]) == 1
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("denoiser_config", "model_dim", 16.0), ("denoiser_config", "model_dim", True),
+        ("schedule", "k_steps", 3.0), ("schedule", "k_steps", True),
+        (None, "iteration", 30.0)])
+    def test_checkpoint_count_of_another_kind_exits_1(self, tmp_path, checkpoint,
+                                                      dataset, capsys, group, key,
+                                                      value):
+        # a float or a boolean, even one equal to the count, is no count
+        blob = open(checkpoint, "rb").read()
+        nl = blob.index(b"\n")
+        manifest = json.loads(blob[:nl])
+        (manifest[group] if group else manifest)[key] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        assert main(["sample", "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(bad), "--data", dataset,
+                     *WINDOW_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_another_pose_dimension_exits_2(self, tmp_path, checkpoint, capsys):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "3",
+                     "--n-sequences", "3", "--frames", "30"]) == 0
+        data = os.path.join(only_run_dir(tmp_path / "s", "synth"), "manifest.json")
+        assert main(["sample", "--out", str(tmp_path / "o"), "--checkpoint", checkpoint,
+                     "--data", data, *WINDOW_ARGS]) == 2
+        assert "dimension" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("k_steps", [2, 5])
     def test_schedule_k_other_than_the_model_k_exits_1(self, tmp_path, checkpoint,
@@ -557,10 +588,15 @@ class TestEvalCmd:
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(files=[])),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(dir=3)),
         lambda path: rewrite_json(path, lambda m: m.pop("fps")),
+        lambda path: rewrite_json(path, lambda m: m.update(fps=True)),
+        lambda path: rewrite_json(path, lambda m: m.update(fps="25")),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].pop("gt")),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=False)),
+        lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=-1)),
     ], ids=["truncated", "not-utf8", "not-object", "no-mode", "no-tasks",
             "tasks-not-list", "task-no-files", "task-empty-files",
-            "task-dir-not-string", "no-fps", "task-no-gt"])
+            "task-dir-not-string", "no-fps", "fps-true", "fps-string", "task-no-gt",
+            "task-index-false", "task-index-negative"])
     @pytest.mark.parametrize("role", ["samples", "det"])
     def test_malformed_samples_manifest_exits_2(self, tmp_path, edit, role):
         rng = np.random.default_rng(5)
@@ -571,6 +607,7 @@ class TestEvalCmd:
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--samples", str(tmp_path / "s"),
                      "--det", str(tmp_path / "d")]) == 2
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("representation, horizons, columns", [
         ("euler", "80", ["euler_mse_80ms"]),
@@ -677,6 +714,11 @@ BAD_PATHS_AND_COUNTS = {
         "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--t-obs", "0"],
     "train-l-pred-0": lambda d, data, ckpt: [
         "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--l-pred", "0"],
+    "sample-limit--1": lambda d, data, ckpt: [
+        "sample", "--checkpoint", ckpt, "--data", data, *WINDOW_ARGS, "--limit", "-1"],
+    # no end-to-end probe is no pass
+    "gradcheck-probes-0": lambda d, data, ckpt: ["gradcheck", "--probes", "0"],
+    "gradcheck-probes--1": lambda d, data, ckpt: ["gradcheck", "--probes", "-1"],
 }
 
 
@@ -689,6 +731,39 @@ def test_bad_path_or_count_exits_2(tmp_path, dataset, checkpoint, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# argv of each command that takes a seed, from (the dataset manifest, the checkpoint)
+SEEDED = {
+    "synth": lambda data, ckpt: ["synth", "--n-joints", "2", "--n-sequences", "1"],
+    "train": lambda data, ckpt: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS],
+    "sample": lambda data, ckpt: [
+        "sample", "--checkpoint", ckpt, "--data", data, *WINDOW_ARGS, "--n", "2"],
+    "gradcheck": lambda data, ckpt: ["gradcheck", "--probes", "1"],
+}
+NEGATIVE_SEEDS = ([(command, "seed", source) for command in sorted(SEEDED)
+                   for source in ("flag", "config", "env")]
+                  + [(command, "split_seed", source) for command in ("sample", "train")
+                     for source in ("flag", "config")])
+
+
+@pytest.mark.parametrize("command, key, source", NEGATIVE_SEEDS)
+def test_negative_seed_exits_2(tmp_path, dataset, checkpoint, monkeypatch, capsys,
+                               command, key, source):
+    argv = SEEDED[command](dataset, checkpoint) + ["--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), "-1"]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"{key} = -1\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("MD_SEED", "-1")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "o").exists()
 
 
 # each builds argv from (a directory holding latin1.cfg, the dataset manifest)
@@ -697,6 +772,7 @@ BAD_VALUES = {
         "synth", "--config", os.path.join(d, "latin1.cfg")],
     "synth-action-weight-nan": lambda d, data: ["synth", "--actions", "walk:nan"],
     "synth-action-weight-inf": lambda d, data: ["synth", "--actions", "walk:inf"],
+    "synth-actions-empty": lambda d, data: ["synth", "--actions", " , "],
     "synth-fps-nan": lambda d, data: ["synth", "--fps", "nan"],
     "synth-fps-inf": lambda d, data: ["synth", "--fps", "inf"],
     # rejected before any sequence is generated, even when none would be
@@ -739,6 +815,18 @@ class TestExportCmd:
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["export", "--out", str(tmp_path / "o"),
                      "--input", str(tmp_path / "nope.mseq")]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("F", 2.7), ("F", "2"), ("fps", "25"), ("fps", True)])
+    def test_header_field_of_another_kind_exits_2(self, tmp_path, capsys, field,
+                                                  value):
+        header = {"version": 1, "F": 2, "D": 3, "fps": 25.0, "repr": "euler",
+                  "label": None, field: value}
+        src = tmp_path / "motion.mseq"
+        src.write_bytes(json.dumps(header).encode() + b"\n" + bytes(2 * 3 * 8))
+        assert main(["export", "--out", str(tmp_path / "o"), "--input", str(src)]) == 2
+        assert f"header {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSmokeBudget:

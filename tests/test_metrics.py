@@ -2,10 +2,11 @@
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motion_diffusion as md
@@ -215,13 +216,31 @@ class TestEulerMse:
         out = md.euler_mse(gt, gt, fps=25.0,
                            horizons_ms=[10, 80, 1000, 10 ** 308, 10 ** 400, -10 ** 400])
         # 10ms rounds to frame 0; 1000ms needs frame 25 > 4; the huge ones
-        # are compared with the last frame before they could overflow a float
+        # select no frame, and no float holds them
         assert sorted(out) == [80]
 
     def test_every_horizon_inside_the_frames_kept(self):
         # at 25 fps frames 1..4 are the horizons 20..179 ms (half frames round up)
         gt = np.zeros((4, 3))
         assert sorted(md.euler_mse(gt, gt, 25.0, range(-5, 400))) == list(range(20, 180))
+
+    @given(fps=st.floats(min_value=5e-324, allow_infinity=False),
+           horizons=st.lists(st.integers(-10 ** 400, 10 ** 400) | st.integers(-50, 5000),
+                             max_size=6),
+           frames=st.integers(1, 6))
+    @example(fps=1e-310, horizons=[10 ** 400], frames=4)
+    @example(fps=5e-324, horizons=[10 ** 326, 3 * 10 ** 326, 10 ** 400], frames=4)
+    @settings(max_examples=200, deadline=None)
+    def test_any_horizon_at_any_frame_rate(self, fps, horizons, frames):
+        # oracle: the frame j in 1..L whose half-open interval
+        # [j - 1/2, j + 1/2) holds ms * fps / 1000, in exact rationals
+        def selects_a_frame(ms):
+            t = Fraction(ms) * Fraction(fps) / 1000
+            return any(j - Fraction(1, 2) <= t < j + Fraction(1, 2)
+                       for j in range(1, frames + 1))
+        gt = np.zeros((frames, 3))
+        out = md.euler_mse(gt, gt, fps, horizons)
+        assert set(out) == {ms for ms in horizons if selects_a_frame(ms)}
 
     def test_shape_guard(self):
         with pytest.raises(DimensionError):

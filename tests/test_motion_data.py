@@ -92,6 +92,14 @@ class TestWindowing:
         seq = mdata.MotionSequence(np.zeros((10, 3)), fps=25.0)
         assert mdata.window_split(seq, 8, 5, stride=1) == []
 
+    @pytest.mark.parametrize("t, l, stride", [
+        (0, 5, 1), (8, 0, 1), (8, 5, 0), (8, -5, 1), (True, 5, 1), (8.0, 5, 1)])
+    def test_extents_are_counts(self, t, l, stride):
+        # a configuration error, like every other count the CLI passes on
+        seq = mdata.MotionSequence(np.zeros((20, 3)), fps=25.0)
+        with pytest.raises(ConfigError):
+            mdata.window_split(seq, t, l, stride)
+
     @given(f=st.integers(2, 60), t=st.integers(1, 20), l=st.integers(1, 20),
            stride=st.integers(1, 10))
     @settings(max_examples=60, deadline=None)

@@ -433,6 +433,10 @@ class TestCheckpointIO:
         # the schedule's K must be the denoiser's K (5)
         lambda m: m["schedule"].update(k_steps=3),
         lambda m: m["schedule"].update(k_steps=8),
+        # a K no float array holds: the step_emb payload bounds it first
+        lambda m: m["schedule"].update(k_steps=10**12),
+        lambda m: (m["schedule"].update(k_steps=10**12),
+                   m["denoiser_config"].update(k_steps=10**12)),
     ], ids=["no-tensors", "config-key-missing", "config-value-type",
             "schedule-extra-key", "schedule-bad-value", "no-rng-state",
             "iteration-not-int", "iteration-negative", "tensors-not-list",
@@ -440,7 +444,8 @@ class TestCheckpointIO:
             "entry-offset-string", "entry-crc-null", "entry-name-not-string",
             "rng-state-not-object", "rng-state-other-generator",
             "rng-state-key-missing", "rng-state-negative", "rng-state-inc-null",
-            "schedule-k-below-model", "schedule-k-above-model"])
+            "schedule-k-below-model", "schedule-k-above-model", "schedule-k-huge",
+            "both-k-huge"])
     def test_malformed_manifest_is_integrity_error(self, tmp_path, mutate):
         _, path, _ = self.trained_checkpoint(tmp_path)
         self.edit_manifest(path, mutate)
