@@ -36,7 +36,7 @@ from .metrics import SampleSet, compute_report, write_report_csv
 from .motion_data import (MotionSequence, fit_normalizer, load_dataset, load_motion_file,
                           read_json, save_manifest, save_motion_file, split_sequences,
                           synth_dataset, window_split)
-from .training import (TrainConfig, initial_checkpoint, load_checkpoint,
+from .training import (TrainConfig, check_start, initial_checkpoint, load_checkpoint,
                        save_checkpoint, train)
 
 BUILD_ID = f"motion-diffusion/{__version__}"
@@ -307,6 +307,7 @@ def cmd_train(cfg: dict) -> int:
         start = initial_checkpoint(den_cfg, sched, fit_normalizer(train_tasks),
                                    cfg["seed"])
     norm_tasks = [start.normalizer.apply_task(t) for t in train_tasks]
+    check_start(start, den_cfg, tr_cfg, sched)
 
     run_dir = make_run_dir(cfg["out"], "train")
     write_run_manifest(run_dir, "train", cfg)

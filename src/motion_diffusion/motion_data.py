@@ -253,13 +253,14 @@ def load_motion_file(path: str) -> MotionSequence:
         raise ParseError("missing header line terminator", offset=len(blob))
     try:
         header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int's digit limit
         pos = getattr(exc, "pos", 0)
         raise ParseError(f"malformed header: {exc}", offset=pos) from exc
     if not isinstance(header, dict):
         raise ParseError("header is not a JSON object", offset=0)
-    if header.get("version") != MSEQ_VERSION:
-        raise ParseError(f"unsupported version {header.get('version')!r}", offset=0)
+    version = header.get("version")
+    if type(version) is not int or version != MSEQ_VERSION:  # never True or 1.0
+        raise ParseError(f"unsupported header version {version!r}", offset=0)
     n_frames = check_count(header.get("F"), 1, "header F", ParseError)
     dim = check_count(header.get("D"), 3, "header D", ParseError)
     if dim % 3 != 0:
@@ -297,7 +298,8 @@ def save_manifest(path: str, file_paths: list[str]) -> None:
 
 
 def read_json(path, what: str):
-    """Parse a JSON file; invalid UTF-8 or JSON is a ParseError."""
+    """Parse a JSON file; invalid UTF-8 or JSON, an integer of more digits
+    than `int` converts included, is a ParseError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
@@ -306,6 +308,8 @@ def read_json(path, what: str):
         raise ParseError(f"{what} is not valid UTF-8", offset=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    except ValueError as exc:  # an integer past int's digit limit
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def load_manifest(path: str) -> list[str]:

@@ -8,7 +8,10 @@ on.  A pullback maps the output gradient to one gradient per input,
 constant inputs included; `backward` drops those of constants.  A tape is
 built fresh for every training step; `backward` walks the records once, in
 reverse creation order, which is a valid reverse topological order by
-construction.
+construction.  It consumes the tape: each pullback, and with it the
+activations it holds, is released as soon as it has run, and a second
+`backward` on the tape is a ContractError.  The records themselves stay,
+so a consumed tape can still be counted.
 
 Inference never touches a tape: wrap inputs with `constant` and the ops
 skip recording.
@@ -62,7 +65,8 @@ class _Record:
 
     `pullback(g)` maps the output gradient to one gradient per input,
     aligned with `in_ids`; `backward` drops the gradients at positions
-    whose `in_ids[i]` is None (constant inputs).
+    whose `in_ids[i]` is None (constant inputs), and sets `pullback` to
+    None once it has run.
     """
 
     __slots__ = ("name", "out_id", "in_ids", "pullback")
@@ -75,7 +79,11 @@ class _Record:
 
 
 class Tape:
-    """Ordered op records; rebuilt every training step, never reused."""
+    """Ordered op records; rebuilt every training step, never reused.
+
+    `backward` consumes the pullbacks and keeps the records, each with its
+    name and node ids, so they can still be counted.
+    """
 
     def __init__(self):
         self.records: list[_Record] = []
@@ -103,10 +111,12 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     """Accumulate d(loss)/d(leaf) for every parameter leaf on the tape.
 
-    Visits each record exactly once, in reverse creation order, and pops
-    its output's gradient.  What is left is a map node_id -> gradient for
-    the parameter leaves that the loss actually depends on: only
-    `Tape.param` creates leaves, and constants never appear.
+    Visits each record exactly once, in reverse creation order, pops its
+    output's gradient and releases its pullback, so each activation is
+    freed once its last consumer's gradient exists.  What is left is a map
+    node_id -> gradient for the parameter leaves that the loss actually
+    depends on: only `Tape.param` creates leaves, and constants never
+    appear.  A tape that `backward` has consumed is a ContractError.
     """
     if loss.tape is not tape:
         raise ContractError("loss tensor does not belong to this tape")
@@ -115,10 +125,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.asarray(1.0)}
     for rec in reversed(tape.records):
+        pullback, rec.pullback = rec.pullback, None
+        if pullback is None:
+            raise ContractError("tape was already consumed by backward")
         g = grads.pop(rec.out_id, None)
         if g is None:
             continue
-        for in_id, gin in zip(rec.in_ids, rec.pullback(g)):
+        for in_id, gin in zip(rec.in_ids, pullback(g)):
             if in_id is not None:
                 acc = grads.get(in_id)
                 grads[in_id] = gin if acc is None else acc + gin
@@ -227,8 +240,8 @@ def _attention_backward(g, q, k, v, p, n_heads, factor, axis):
     return gq, gk, gv
 
 
-def _relu_backward(g, x):
-    return g * (x > 0.0)
+def _relu_backward(g, out):
+    return g * (out > 0.0)
 
 
 def _layer_norm_backward_x(g, gain, y, inv):
@@ -390,12 +403,13 @@ def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0).  The pullback keeps the output, which the next op holds
+    anyway, not the input: x > 0 exactly where max(x, 0) > 0."""
     a = _coerce(a)
     out = np.maximum(a.data, 0.0)
-    ad = a.data
 
     def pull(g):
-        return (_relu_backward(g, ad),)
+        return (_relu_backward(g, out),)
 
     return _emit("relu", out, [a], pull)
 

@@ -116,6 +116,27 @@ def _snapshot(start: Checkpoint, model: DenoiserModel, m: dict, v: dict,
         rng_state=json.loads(json.dumps(rng.bit_generator.state)))
 
 
+def check_start(start: Checkpoint, den_cfg: DenoiserConfig, tr_cfg: TrainConfig,
+                sched: NoiseSchedule, normalizer: Normalizer | None = None) -> None:
+    """ConfigError unless a run of these configs can continue from `start`.
+
+    Its denoiser config and schedule must equal the requested ones, its
+    normalizer must equal `normalizer` if one is given, and its iteration
+    must not lie past the target.
+    """
+    if start.denoiser_config != den_cfg:
+        raise ConfigError("checkpoint denoiser config does not match")
+    if start.schedule != sched:
+        raise ConfigError(f"checkpoint schedule {start.schedule} != requested {sched}")
+    if normalizer is not None and not (np.array_equal(normalizer.mean, start.normalizer.mean)
+                                       and np.array_equal(normalizer.std, start.normalizer.std)):
+        raise ConfigError("normalizer differs from the checkpoint's normalizer")
+    if start.iteration > tr_cfg.iterations:
+        raise ConfigError(
+            f"checkpoint is at iteration {start.iteration}, past the target "
+            f"of {tr_cfg.iterations} iterations")
+
+
 @dataclass(frozen=True)
 class TrainResult:
     model: DenoiserModel
@@ -160,17 +181,7 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         start = initial_checkpoint(den_cfg, sched,
                                    normalizer or Normalizer.identity(den_cfg.dim),
                                    tr_cfg.seed)
-    if start.denoiser_config != den_cfg:
-        raise ConfigError("checkpoint denoiser config does not match")
-    if start.schedule != sched:
-        raise ConfigError(f"checkpoint schedule {start.schedule} != requested {sched}")
-    if normalizer is not None and not (np.array_equal(normalizer.mean, start.normalizer.mean)
-                                       and np.array_equal(normalizer.std, start.normalizer.std)):
-        raise ConfigError("normalizer differs from the checkpoint's normalizer")
-    if start.iteration > tr_cfg.iterations:
-        raise ConfigError(
-            f"checkpoint is at iteration {start.iteration}, past the target "
-            f"of {tr_cfg.iterations} iterations")
+    check_start(start, den_cfg, tr_cfg, sched, normalizer)
     model = start.build_model()
     m = {k: a.copy() for k, a in start.adam_m.items()}
     v = {k: a.copy() for k, a in start.adam_v.items()}
@@ -199,6 +210,8 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         losses.append(loss_val)
         if it % tr_cfg.checkpoint_every == 0:
             last_good = _snapshot(start, model, m, v, it, rng)
+        # the next step's forward must not run beside this step's tape
+        del tape, loss_t, leaves, grads
 
     final = _snapshot(start, model, m, v, tr_cfg.iterations, rng)
     return TrainResult(model=model, checkpoint=final, losses=losses)
@@ -267,13 +280,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError("checkpoint has no manifest line")
     try:
         manifest = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int's digit limit
         raise IntegrityError(f"checkpoint manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise IntegrityError("checkpoint manifest is not a JSON object")
-    if manifest.get("version") != CKPT_VERSION:
-        raise IntegrityError(
-            f"unsupported checkpoint version {manifest.get('version')!r}")
+    version = manifest.get("version")
+    if type(version) is not int or version != CKPT_VERSION:  # never True or 1.0
+        raise IntegrityError(f"unsupported checkpoint version {version!r}")
     try:
         den_cfg = DenoiserConfig(**manifest["denoiser_config"])
         sched_k = manifest["schedule"]["k_steps"]

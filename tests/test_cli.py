@@ -20,6 +20,8 @@ from motion_diffusion.cli import LOG_EVERY, main, parse_config_file
 # window/model settings shared by every pipeline invocation in this file;
 # the sampler refuses a checkpoint whose extents disagree with the flags
 WINDOW_ARGS = ["--t-obs", "4", "--l-pred", "5", "--stride", "6"]
+# more digits than int() converts from a string (4,300 by default)
+LONG_INT = "9" * 5000
 TRAIN_ARGS = WINDOW_ARGS + [
     "--model-dim", "16", "--n-heads", "2", "--k-steps", "3",
     "--batch-size", "4", "--lr", "1e-3", "--checkpoint-every", "10"]
@@ -241,6 +243,7 @@ class TestTrainCmd:
                      "--iterations", "10", "--seed", "4", *TRAIN_ARGS,
                      "--resume", checkpoint]) == 2
         assert "past the target" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_resume_without_normalizer_reaches_target(self, tmp_path, dataset,
                                                       checkpoint):
@@ -285,6 +288,7 @@ class TestTrainCmd:
                      "--iterations", "33", *TRAIN_ARGS, "--model-dim", "32",
                      "--resume", checkpoint]) == 2
         assert "denoiser config" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_resume_on_another_pose_dimension_exits_2(self, tmp_path, checkpoint,
                                                       capsys):
@@ -305,6 +309,7 @@ class TestTrainCmd:
                      "--iterations", "33", "--seed", "4", *TRAIN_ARGS,
                      "--beta-max", "0.2", "--resume", checkpoint]) == 2
         assert "schedule" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_divergence_exits_1_with_last_good_checkpoint(self, tmp_path,
                                                           dataset, capsys):
@@ -406,7 +411,7 @@ class TestSampleCmd:
     @pytest.mark.parametrize("group, key, value", [
         ("denoiser_config", "model_dim", 16.0), ("denoiser_config", "model_dim", True),
         ("schedule", "k_steps", 3.0), ("schedule", "k_steps", True),
-        (None, "iteration", 30.0)])
+        (None, "iteration", 30.0), (None, "version", 1.0), (None, "version", True)])
     def test_checkpoint_count_of_another_kind_exits_1(self, tmp_path, checkpoint,
                                                       dataset, capsys, group, key,
                                                       value):
@@ -466,6 +471,22 @@ class TestSampleCmd:
             err = capsys.readouterr().err
             assert "diffusion step k=" in err
             assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_cleanly(self, tmp_path, checkpoint,
+                                                       dataset):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError
+        blob = open(checkpoint, "rb").read()
+        assert b'"iteration": 30' in blob
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(b'"iteration": 30',
+                                     f'"iteration": {LONG_INT}'.encode(), 1))
+        assert main(["sample", "--out", str(tmp_path / "o"), "--checkpoint", str(bad),
+                     "--data", dataset, *WINDOW_ARGS]) == 1
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(f"[{LONG_INT}]")
+        assert main(["sample", "--out", str(tmp_path / "o"), "--checkpoint", checkpoint,
+                     "--data", str(manifest), *WINDOW_ARGS]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train", "sample"])
     def test_dataset_manifest_not_json_exits_2(self, tmp_path, checkpoint,
@@ -593,10 +614,11 @@ class TestEvalCmd:
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].pop("gt")),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=False)),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=-1)),
+        lambda path: path.write_text(f'{{"n": {LONG_INT}}}'),
     ], ids=["truncated", "not-utf8", "not-object", "no-mode", "no-tasks",
             "tasks-not-list", "task-no-files", "task-empty-files",
             "task-dir-not-string", "no-fps", "fps-true", "fps-string", "task-no-gt",
-            "task-index-false", "task-index-negative"])
+            "task-index-false", "task-index-negative", "integer-past-digit-limit"])
     @pytest.mark.parametrize("role", ["samples", "det"])
     def test_malformed_samples_manifest_exits_2(self, tmp_path, edit, role):
         rng = np.random.default_rng(5)
@@ -817,7 +839,8 @@ class TestExportCmd:
                      "--input", str(tmp_path / "nope.mseq")]) == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("F", 2.7), ("F", "2"), ("fps", "25"), ("fps", True)])
+        ("F", 2.7), ("F", "2"), ("fps", "25"), ("fps", True), ("version", 1.0),
+        ("version", True)])
     def test_header_field_of_another_kind_exits_2(self, tmp_path, capsys, field,
                                                   value):
         header = {"version": 1, "F": 2, "D": 3, "fps": 25.0, "repr": "euler",
@@ -826,6 +849,16 @@ class TestExportCmd:
         src.write_bytes(json.dumps(header).encode() + b"\n" + bytes(2 * 3 * 8))
         assert main(["export", "--out", str(tmp_path / "o"), "--input", str(src)]) == 2
         assert f"header {field}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_header_integer_past_the_digit_limit_exits_2(self, tmp_path):
+        # json.loads raises a plain ValueError for it, not a JSONDecodeError
+        header = json.dumps({"version": 1, "F": 0, "D": 3, "fps": 25.0,
+                             "repr": "euler", "label": None})
+        src = tmp_path / "motion.mseq"
+        src.write_bytes(header.replace('"F": 0', f'"F": {LONG_INT}').encode()
+                        + b"\n" + bytes(3 * 8))
+        assert main(["export", "--out", str(tmp_path / "o"), "--input", str(src)]) == 2
         assert not (tmp_path / "o").exists()
 
 

@@ -384,14 +384,19 @@ class TestMatchesReferenceForward:
 @pytest.mark.parametrize("variant, records", [("series", 37), ("parallel", 41)])
 def test_training_step_tape_records(variant, records):
     # both layers attend in the (B, S, D, C) layout: no transposed copies;
-    # the step embedding is gathered into its (B, 1, 1, C) shape in one record
+    # the step embedding is gathered into its (B, 1, 1, C) shape in one record;
+    # backward releases every pullback and keeps every record
     cfg = toy_config(variant)
     tape = nm.Tape()
-    batch_noise_loss(init_denoiser(cfg, seed=2), tape, *random_batch(cfg, 3, seed=4),
-                     build_schedule(cfg.k_steps, 0.001, 0.333))
+    loss, leaves = batch_noise_loss(init_denoiser(cfg, seed=2), tape,
+                                    *random_batch(cfg, 3, seed=4),
+                                    build_schedule(cfg.k_steps, 0.001, 0.333))
     names = [rec.name for rec in tape.records]
     assert len(names) == records
     assert "transpose" not in names
+    tape.gradients(loss, leaves)
+    assert len(tape.records) == records
+    assert [rec.pullback for rec in tape.records] == [None] * records
 
 
 @pytest.mark.parametrize("t_obs, l_pred, dim, model_dim",

@@ -314,6 +314,17 @@ class TestBackward:
         with pytest.raises(ContractError):
             tape.gradients(nm.constant(1.0), {})
 
+    def test_consumed_tape_rejected(self, rng):
+        # backward releases the pullbacks as it runs them
+        tape = nm.Tape()
+        w = tape.param(rng.normal(size=(3,)))
+        loss = nm.sum_all(nm.mul(w, w))
+        tape.gradients(loss, {"w": w})
+        with pytest.raises(ContractError, match="already consumed"):
+            tape.gradients(loss, {"w": w})
+        with pytest.raises(ContractError, match="already consumed"):
+            nm.backward(tape, loss)
+
     def test_disconnected_param_gets_zeros(self, rng):
         tape = nm.Tape()
         used = tape.param(rng.normal(size=(2,)))

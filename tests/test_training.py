@@ -2,6 +2,8 @@
 and checkpoint persistence."""
 
 import json
+import tracemalloc
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import motion_diffusion as md
+import motion_diffusion.training as training
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      IntegrityError, TrainingDivergedError)
 from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
@@ -285,6 +288,40 @@ class TestTrainLoop:
                      cfg, tr, sched)
         with pytest.raises(ConfigError):
             md.train(toy_tasks(cfg), cfg, tr, md.build_schedule(7, 0.02, 0.3))
+
+    def test_step_tape_dies_before_the_next_forward(self, monkeypatch):
+        # each record's pullback holds the step's activations: a tape alive
+        # through the next step doubles the resident activations
+        tapes = []
+        true_loss = training.batch_noise_loss
+
+        def loss(model, tape, *args):
+            assert [t() for t in tapes] == [None] * len(tapes)
+            tapes.append(weakref.ref(tape))
+            return true_loss(model, tape, *args)
+
+        monkeypatch.setattr(training, "batch_noise_loss", loss)
+        quick_train(iterations=3)
+        assert len(tapes) == 3
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_peak_memory_does_not_grow_with_steps(self, variant):
+        # tracemalloc sees numpy's buffers: a second step must not hold the
+        # first step's activations beside its own
+        cfg = toy_den_cfg(variant)
+        tasks = toy_tasks(cfg)
+
+        def traced_peak(iterations):
+            tr = TrainConfig(batch_size=16, iterations=iterations, lr=1e-3, seed=0)
+            tracemalloc.start()
+            try:
+                md.train(tasks, cfg, tr, toy_sched(cfg))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = traced_peak(1), traced_peak(2)
+        assert two < 1.25 * one, (one, two)
 
     def test_result_checkpoint_rebuilds_the_model(self):
         result, _, _, _ = quick_train(iterations=5)
