@@ -374,13 +374,16 @@ def cmd_sample(cfg: dict) -> int:
         obs_n = ckpt.normalizer.apply(task.p_obs)
         entry = {"index": i, "dir": f"task_{i:03d}", "gt": "gt.mseq", "files": []}
         write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
-        if cfg["mode"] == "deterministic":
-            futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
-            names = ["det.mseq"]
-        else:
-            futures = sample_stochastic(model, obs_n, cfg["n"],
-                                        _task_seed(cfg["seed"], i), ckpt.schedule).samples
-            names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
+        try:
+            if cfg["mode"] == "deterministic":
+                futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
+                names = ["det.mseq"]
+            else:
+                futures = sample_stochastic(model, obs_n, cfg["n"], _task_seed(cfg["seed"], i),
+                                            ckpt.schedule).samples
+                names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
+        except SamplingDivergedError as exc:
+            raise SamplingDivergedError(exc.message, exc.step, task=i) from exc
         for name, future in zip(names, futures):
             write_seq(os.path.join(task_dir, name), ckpt.normalizer.invert(future))
             entry["files"].append(name)

@@ -1,27 +1,38 @@
 """Transformer noise predictors over the observed + noised motion grid.
 
-Both variants see the same assembled input: the observation (T frames)
-stacked above the noised future (L frames), every scalar pose parameter
-lifted to a model_dim feature, plus three additive encodings (temporal
-sinusoid, spatial sinusoid, learnable step vector).  The series variant
-runs spatial attention then temporal attention; the parallel variant
-runs both branches on the encoded input and fuses their two scalar maps
-with a learned per-position 2 -> 1 kernel.
+Each chain sees its observation (T frames) followed by its noised future
+(L frames), every scalar pose parameter lifted to a model_dim feature,
+plus three additive encodings (temporal sinusoid, spatial sinusoid,
+learnable step vector).  The series variant runs spatial attention then
+temporal attention; the parallel variant runs both branches on the
+encoded input and fuses their two scalar maps with a learned
+per-position 2 -> 1 kernel.
 
-Attention is bidirectional everywhere: no causal mask.  The features
-keep one (B, S, D, C) layout from the input lift to the readout; both
-layers run one encoder layer, told which axis holds the tokens, and
-every other axis but the channels is a batch axis.  Spatial attention
-attends over the D scalar pose parameters (axis -2), temporal attention
-over the S frames (axis -3), and neither copies the features.
+One call predicts noise for B chains from M observations, M dividing B:
+chain j reads observation j // (B / M), and the chains that share an
+observation share its step k.  Each observation's frames are encoded
+once, however many chains read them.  The call's frames form one
+(F, D, C) frame list, F = M*T + B*L, grouped by observation: observation
+i's T frames, then the L frames of each of its chains in turn.  Training
+passes one observation per chain, where the list is each chain's T + L
+frames in turn; the sampler passes one observation for all N chains.
+
+Attention is bidirectional everywhere: no causal mask.  Both layers run
+one encoder layer, told which axis holds the tokens, and every other
+axis but the channels is a batch axis.  Spatial attention attends over
+the D scalar pose parameters (axis -2) of each frame in place.  Temporal
+attention runs its norm and its key and value projections on the frame
+list, gathers each chain's (S, D, C) keys and values with one (B, S)
+frame index (its observation's T frames, then its own L frames), and
+attends over the S frames (axis -3).
 
 Noise is predicted for the L future frames only.  The T observed frames
 are keys and values of temporal attention and nothing else: its queries,
-output projection and feedforward, and the readout, run on the future
-rows.  The series variant runs its spatial layer on all frames,
-because the temporal keys and values of the observed frames are read
-from it; the parallel variant runs its spatial branch on the future
-frames alone.
+residual, output projection and feedforward, and the readout, run on the
+(B, L, D, C) future rows.  The series variant runs its spatial layer on
+the whole frame list, because the temporal keys and values of the
+observed frames are read from it; the parallel variant runs its spatial
+branch on the future frames alone.
 """
 
 from __future__ import annotations
@@ -151,7 +162,10 @@ class DenoiserModel:
 
     def eval_batch(self, p_obs: np.ndarray, x_k: np.ndarray,
                    ks: np.ndarray) -> np.ndarray:
-        """Inference forward; counts one evaluation per batch item."""
+        """Inference forward; counts one evaluation per batch item.
+
+        p_obs is (M, T, D) for the (B, L, D) x_k, M dividing B (see `_forward`).
+        """
         out = _forward(self.config, self.bind(None), p_obs, x_k, ks)
         self.eval_count += int(np.asarray(x_k).shape[0])
         return out.data
@@ -192,21 +206,25 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _attention(x, leaves, prefix: str, n_heads: int, axis: int, start: int = 0):
+def _attention(x, leaves, prefix: str, n_heads: int, axis: int, rows=None):
     """Pre-norm multi-head attention block over the tokens on `axis` of x.
 
-    Every token is a key and a value; only tokens `start..S` are queries,
-    and only their rows are returned, cut from x on the same axis.
+    Without `rows`, every token is a query, a key and a value.  With
+    `rows`, a pair of frame indices, keys (B, S) and queries (B, L), into
+    axis 0 of the (F, D, C) frame list x: item b attends from the frames
+    queries[b] over the frames keys[b], and the block returns the
+    (B, L, D, C) query rows.  The norm and the key and value projections
+    run once per frame, however many items read it.
     """
     h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
     # no key bias: it adds the same q.b to every score of a query row,
     # which softmax cancels
     k = nm.linear(h, leaves[f"{prefix}.wk"])
     v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
-    if start:
-        rows = x.data.shape[axis] - start
-        h = nm.narrow(h, axis=axis, start=start, length=rows)
-        x = nm.narrow(x, axis=axis, start=start, length=rows)
+    if rows is not None:
+        keys, queries = rows
+        k, v = nm.take_rows(k, keys), nm.take_rows(v, keys)
+        h, x = nm.take_rows(h, queries), nm.take_rows(x, queries)
     q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
     ctx = nm.attention(q, k, v, n_heads, axis)
     return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
@@ -219,49 +237,72 @@ def _feedforward(x, leaves, prefix: str):
     return nm.add(x, h)
 
 
-def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, start: int = 0):
-    """Attention over `axis` of the (B, S, D, C) features, then feedforward.
+def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, rows=None):
+    """Attention over `axis` of the features, then feedforward.
 
-    Axis -2 is the spatial layer, axis -3 the temporal one.  Returns the
-    rows of tokens `start..` on `axis`.
+    Axis -2 is the spatial layer, axis -3 the temporal one; `rows` is as
+    for `_attention`.
     """
-    return _feedforward(_attention(feat, leaves, prefix, n_heads, axis, start),
+    return _feedforward(_attention(feat, leaves, prefix, n_heads, axis, rows),
                         leaves, prefix)
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
              x_k: np.ndarray, ks: np.ndarray):
-    """Batched noise prediction: (B, T, D), (B, L, D), (B,) -> (B, L, D)."""
+    """Batched noise prediction: (M, T, D), (B, L, D), (B,) -> (B, L, D).
+
+    M divides B, and chain j reads observation j // (B / M).  Chains that
+    share an observation share its step k, which its frames carry.
+    """
     p_obs = np.asarray(p_obs, dtype=np.float64)
     x_k = np.asarray(x_k, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.intp)
     b = x_k.shape[0]
     t, l, d, c = cfg.t_obs, cfg.l_pred, cfg.dim, cfg.model_dim
-    if p_obs.shape != (b, t, d):
-        raise DimensionError(f"observation batch shape {p_obs.shape} != {(b, t, d)}")
     if x_k.shape != (b, l, d):
         raise DimensionError(f"noised-future batch shape {x_k.shape} != {(b, l, d)}")
+    if (p_obs.ndim != 3 or p_obs.shape[1:] != (t, d)
+            or not 0 < len(p_obs) <= b or b % len(p_obs)):
+        raise DimensionError(f"observation batch shape {p_obs.shape} != (M, {t}, {d}) "
+                             f"with M dividing the batch size {b}")
     if ks.shape != (b,):
         raise DimensionError(f"ks shape {ks.shape} != ({b},)")
     if np.any(ks < 1) or np.any(ks > cfg.k_steps):
         raise ContractError(f"diffusion steps must lie in [1, {cfg.k_steps}]")
-    s = t + l
+    m = len(p_obs)
+    r = b // m                                  # chains per observation
+    group_ks = ks.reshape(m, r)
+    if np.any(group_ks != group_ks[:, :1]):
+        raise ContractError("chains that share an observation must share its diffusion step")
 
-    cells = np.concatenate([p_obs, x_k], axis=1)[..., None]      # (B, S, D, 1)
+    # observation i's T frames, then the L frames of each of its chains
+    # i*r .. i*r + r - 1, embedded as (M, G, D, C) and then listed: at M = B
+    # that grid is (B, S, D, C), and training's gradients are bit for bit
+    # those of a forward that lays out each chain's frames on its own
+    g = t + r * l
+    cells = np.concatenate([p_obs, x_k.reshape(m, r * l, d)], axis=1)[..., None]
+    pos = np.concatenate([np.arange(t), np.tile(np.arange(t, t + l), r)])
     feat = nm.add(nm.mul(nm.constant(cells), leaves["in_w"]), leaves["in_b"])
-    feat = nm.add(feat, nm.constant(positional_encoding(s, c)[:, None, :]))
+    feat = nm.add(feat, nm.constant(positional_encoding(t + l, c)[pos][:, None, :]))
     feat = nm.add(feat, nm.constant(positional_encoding(d, c)))
-    feat = nm.add(feat, nm.take_rows(leaves["step_emb"], ks[:, None, None]))
+    feat = nm.add(feat, nm.take_rows(leaves["step_emb"], group_ks[:, :1, None]))
+    frames = nm.reshape(feat, (m * g, d, c))                     # (F, D, C)
+
+    # chain j reads its observation's T frames, then its own L frames
+    first = np.arange(b) // r * g
+    future = (first + t + np.arange(b) % r * l)[:, None] + np.arange(l)
+    rows = (np.concatenate([first[:, None] + np.arange(t), future], axis=1), future)
 
     if cfg.variant == "series":
-        feat = _encoder_layer(feat, leaves, "spat", cfg.n_heads, axis=-2)
-        feat = _encoder_layer(feat, leaves, "temp", cfg.n_heads, axis=-3, start=t)
+        frames = _encoder_layer(frames, leaves, "spat", cfg.n_heads, axis=-2)
+        feat = _encoder_layer(frames, leaves, "temp", cfg.n_heads, axis=-3, rows=rows)
         y = nm.linear(feat, leaves["out_w"], leaves["out_b"])     # (B, L, D, 1)
     else:
-        future = nm.narrow(feat, axis=1, start=t, length=l)
-        ya = nm.linear(_encoder_layer(future, leaves, "spat", cfg.n_heads, axis=-2),
+        ya = nm.linear(_encoder_layer(nm.take_rows(frames, future), leaves, "spat",
+                                      cfg.n_heads, axis=-2),
                        leaves["out_s_w"], leaves["out_s_b"])
-        yb = nm.linear(_encoder_layer(feat, leaves, "temp", cfg.n_heads, axis=-3, start=t),
+        yb = nm.linear(_encoder_layer(frames, leaves, "temp", cfg.n_heads, axis=-3,
+                                      rows=rows),
                        leaves["out_t_w"], leaves["out_t_b"])
         stacked = nm.concat([ya, yb], axis=-1)                    # (B, L, D, 2)
         y = nm.linear(stacked, leaves["fuse_w"], leaves["fuse_b"])

@@ -184,8 +184,7 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
     """
     n, k_steps = noise.shape[0], sched.k_steps
     x = noise[:, 0]
-    p_obs = np.asarray(p_obs, dtype=np.float64)
-    obs = np.broadcast_to(p_obs, (n,) + p_obs.shape)
+    obs = np.asarray(p_obs, dtype=np.float64)[None]   # one observation for all N chains
     ks = np.empty(n, dtype=np.intp)
     for k in range(k_steps, 0, -1):
         ks[:] = k

@@ -47,11 +47,18 @@ class TrainingDivergedError(RuntimeError):
 
 
 class SamplingDivergedError(RuntimeError):
-    """Reverse process produced a non-finite state. `step` is the diffusion step."""
+    """Reverse process produced a non-finite state.
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (diffusion step k={step})")
-        self.step = step
+    `step` is the diffusion step; `task` is the index of the task being
+    sampled, where the caller knows it, else None.
+    """
+
+    def __init__(self, message: str, step: int, task: int | None = None):
+        where = f"diffusion step k={step}"
+        if task is not None:
+            where = f"task {task}, {where}"
+        super().__init__(f"{message} ({where})")
+        self.message, self.step, self.task = message, step, task
 
 
 class UndefinedMetricError(ValueError):

@@ -107,6 +107,13 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
         # one row, as a batch-1 sample with L * D = 1 reaches the GEMMs
         ("linear_one_row", nm.linear,
          (rng.normal(size=(1, 4)), lw, rng.normal(size=(5,)))),
+        # a (B, S) frame index as temporal keys are gathered: two chains
+        # share frames 0 and 1, so those rows repeat
+        ("take_rows_shared", lambda x: nm.take_rows(x, [[0, 1, 2, 3], [0, 1, 4, 5]]),
+         (rng.normal(size=(6, 2, 3)),)),
+        # each row read once, as the chains' own future frames are
+        ("take_rows_unique", lambda x: nm.take_rows(x, [[4, 5], [2, 3]]),
+         (rng.normal(size=(6, 2, 3)),)),
     ]
 
 

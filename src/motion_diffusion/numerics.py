@@ -244,6 +244,24 @@ def _relu_backward(g, out):
     return g * (out > 0.0)
 
 
+def _take_rows_backward(g, idx, shape):
+    """Gradient of `take_rows`: each row of g added to the row it was read from.
+
+    Where each row was read at most once, the rows are assigned into zeros,
+    which is what adding them to zeros gives but for the sign of a zero,
+    at a small part of `np.add.at`'s cost.  Repeated rows are accumulated
+    in index order.
+    """
+    z = np.zeros(shape)
+    flat = idx.ravel()
+    rows = g.reshape(flat.shape + shape[1:])
+    if np.unique(flat).size == flat.size:
+        z[flat] = rows
+    else:
+        np.add.at(z, flat, rows)
+    return z
+
+
 def _layer_norm_backward_x(g, gain, y, inv):
     h = g * gain
     return inv * (h - h.mean(axis=-1, keepdims=True) - y * (h * y).mean(axis=-1, keepdims=True))
@@ -526,9 +544,7 @@ def take_rows(a, indices) -> Tensor:
     ash = a.data.shape
 
     def pull(g):
-        z = np.zeros(ash)
-        np.add.at(z, idx, g)
-        return (z,)
+        return (_take_rows_backward(g, idx, ash),)
 
     return _emit("take_rows", out, [a], pull)
 

@@ -469,8 +469,25 @@ class TestSampleCmd:
                              "--checkpoint", bad, "--data", dataset,
                              *WINDOW_ARGS, "--mode", mode, "--n", "2"]) == 1
             err = capsys.readouterr().err
-            assert "diffusion step k=" in err
+            assert "(task 0, diffusion step k=" in err
             assert "Traceback" not in err
+
+    def test_divergence_names_the_index_of_a_later_task(self, tmp_path, checkpoint,
+                                                        dataset, capsys, monkeypatch):
+        true_sample, calls = cli.sample_deterministic, []
+
+        def diverge_at_the_third_task(model, p_obs, sched):
+            calls.append(p_obs)
+            if len(calls) == 3:
+                raise md.SamplingDivergedError("reverse state is non-finite", step=4)
+            return true_sample(model, p_obs, sched)
+
+        monkeypatch.setattr(cli, "sample_deterministic", diverge_at_the_third_task)
+        assert main(["sample", "--out", str(tmp_path), "--checkpoint", checkpoint,
+                     "--data", dataset, *WINDOW_ARGS, "--mode", "deterministic",
+                     "--split", "all"]) == 1
+        assert ("reverse state is non-finite (task 2, diffusion step k=4)"
+                in capsys.readouterr().err)
 
     def test_integer_past_the_digit_limit_exits_cleanly(self, tmp_path, checkpoint,
                                                        dataset):

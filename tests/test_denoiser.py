@@ -215,6 +215,46 @@ class TestForward:
                          np.ones(7, dtype=np.intp))
         assert model.eval_count == 8
 
+    def test_observation_count_must_divide_the_batch(self):
+        model = init_denoiser(toy_config("series"), seed=0)
+        obs, fut = toy_inputs(model.config)
+        for m, b in ((2, 3), (3, 1)):
+            with pytest.raises(DimensionError):
+                model.eval_batch(np.stack([obs] * m), np.stack([fut] * b),
+                                 np.ones(b, dtype=np.intp))
+
+    def test_chains_sharing_an_observation_share_its_step(self):
+        # the observed frames carry step_emb[k], so they serve one k only
+        model = init_denoiser(toy_config("series"), seed=0)
+        obs, fut = toy_inputs(model.config)
+        with pytest.raises(ContractError):
+            model.eval_batch(obs[None], np.stack([fut, fut]), np.array([1, 2]))
+        with pytest.raises(ContractError):
+            model.eval_batch(np.stack([obs, obs]), np.stack([fut] * 4),
+                             np.array([1, 1, 2, 1]))
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_observed_frames_are_encoded_once_per_step(self, variant, monkeypatch):
+        # one reverse step: every GEMM of N = 7 chains has 6 * L * D rows more
+        # than that of one chain, the rows of the 6 more futures, and none of
+        # the observation's T * D rows again
+        cfg = toy_config(variant, k_steps=1)
+        model = init_denoiser(cfg, seed=3)
+        obs, _ = toy_inputs(cfg)
+        true_linear, rows = nm.linear, []
+
+        def counting(x, w, b=None):
+            rows[-1].append(x.data.size // x.data.shape[-1])
+            return true_linear(x, w, b)
+
+        monkeypatch.setattr(nm, "linear", counting)
+        for n in (1, 7):
+            rows.append([])
+            sample_stochastic(model, obs, n, 0, build_schedule(1, 0.01, 0.3))
+        one, seven = map(np.array, rows)
+        assert one.shape == seven.shape
+        np.testing.assert_array_equal(seven - one, 6 * cfg.l_pred * cfg.dim)
+
     def test_step_range_guard(self):
         model = init_denoiser(toy_config("series"), seed=0)
         obs, fut = toy_inputs(model.config)
@@ -351,14 +391,22 @@ def random_batch(cfg, n, seed):
 class TestMatchesReferenceForward:
     """Future-only rows give what a full-row forward gives on the future frames."""
 
-    @pytest.mark.parametrize("n", [1, 50])
+    # (batch size B, observations M, config overrides); M < B shares each
+    # observation among B / M chains, which the reference gets repeated
+    @pytest.mark.parametrize("n, m, over", [
+        pytest.param(1, 1, {}, id="1"), pytest.param(50, 50, {}, id="50"),
+        pytest.param(50, 1, {}, id="50-shared"), pytest.param(6, 2, {}, id="6-by-2"),
+        # T * D = 1: the observed frames reach each GEMM as one row
+        pytest.param(6, 1, dict(t_obs=1, dim=1), id="6-shared-TD1")])
     @pytest.mark.parametrize("variant", ["series", "parallel"])
-    def test_eval_batch(self, variant, n):
-        cfg = toy_config(variant)
+    def test_eval_batch(self, variant, n, m, over):
+        cfg = toy_config(variant, **over)
         model = init_denoiser(cfg, seed=12)
         p_obs, x_k, ks, _ = random_batch(cfg, n, seed=13)
+        p_obs, ks = p_obs[:m], np.repeat(ks[:m], n // m)
         got = model.eval_batch(p_obs, x_k, ks)
-        want = reference_forward(cfg, model.bind(None), p_obs, x_k, ks).data
+        want = reference_forward(cfg, model.bind(None), np.repeat(p_obs, n // m, axis=0),
+                                 x_k, ks).data
         assert got.shape == (n, cfg.l_pred, cfg.dim)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -381,10 +429,10 @@ class TestMatchesReferenceForward:
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("variant, records", [("series", 37), ("parallel", 41)])
+@pytest.mark.parametrize("variant, records", [("series", 40), ("parallel", 44)])
 def test_training_step_tape_records(variant, records):
-    # both layers attend in the (B, S, D, C) layout: no transposed copies;
-    # the step embedding is gathered into its (B, 1, 1, C) shape in one record;
+    # both layers attend in place on the frame list: no transposed copies;
+    # the step embedding is gathered into its (M, 1, 1, C) shape in one record;
     # backward releases every pullback and keeps every record
     cfg = toy_config(variant)
     tape = nm.Tape()

@@ -1,9 +1,10 @@
 """The bit-for-bit reproducibility contract at every small shape.
 
-Three properties, in both variants: sample i does not depend on the
+Four properties, in both variants: sample i does not depend on the
 sample count N, one item's `eval_batch` row does not depend on the batch
-size, its position or its batch-mates, and a resumed training run equals
-an uninterrupted one.  The shapes include L*D = 1, where a one-row
+size, its position or its batch-mates, an observation shared by several
+chains gives the bytes of the same observation repeated for each, and a
+resumed training run equals an uninterrupted one.  The shapes include L*D = 1, where a one-row
 product once took another BLAS path than the same row among others.
 """
 
@@ -76,3 +77,26 @@ def test_reproducibility_contract_at_small_shapes(variant, model_dim, n_heads, t
         for name, arr in getattr(whole.checkpoint, group).items():
             assert _same(getattr(rest.checkpoint, group)[name], arr), (group, name)
     assert rest.checkpoint.rng_state == whole.checkpoint.rng_state
+
+
+@given(variant=st.sampled_from(["series", "parallel"]),
+       model_dim=st.sampled_from([8, 16]), n_heads=st.sampled_from([1, 2]),
+       t_obs=st.integers(1, 3), l_pred=st.integers(1, 2), dim=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+@example(variant="series", model_dim=8, n_heads=2, t_obs=1, l_pred=2, dim=1, seed=0)
+@example(variant="parallel", model_dim=16, n_heads=1, t_obs=1, l_pred=1, dim=1, seed=0)
+@settings(max_examples=25, deadline=None)
+def test_shared_observation_gives_the_bytes_of_its_repeats(variant, model_dim, n_heads,
+                                                           t_obs, l_pred, dim, seed):
+    cfg = md.DenoiserConfig(variant=variant, model_dim=model_dim, n_heads=n_heads,
+                            t_obs=t_obs, l_pred=l_pred, dim=dim, k_steps=K_STEPS)
+    model = md.init_denoiser(cfg, seed)
+    rng = np.random.default_rng(seed)
+    b = 6
+    x_k = rng.normal(size=(b, l_pred, dim))
+    for m in (1, 2):
+        p_obs = rng.normal(size=(m, t_obs, dim))
+        ks = np.repeat(rng.integers(1, K_STEPS + 1, size=m), b // m)
+        shared = model.eval_batch(p_obs, x_k, ks)
+        repeated = model.eval_batch(np.repeat(p_obs, b // m, axis=0), x_k, ks)
+        assert _same(shared, repeated), f"{m} observation(s) shared by {b} chains"
