@@ -24,7 +24,9 @@ the D scalar pose parameters (axis -2) of each frame in place.  Temporal
 attention runs its norm and its key and value projections on the frame
 list, gathers each chain's (S, D, C) keys and values with one (B, S)
 frame index (its observation's T frames, then its own L frames), and
-attends over the S frames (axis -3).
+attends over the S frames (axis -3).  Each encoder layer is two tape
+ops, `numerics.attention_block` and `numerics.feedforward`, so a training
+step records 16 ops (series) or 20 (parallel).
 
 Noise is predicted for the L future frames only.  The T observed frames
 are keys and values of temporal attention and nothing else: its queries,
@@ -206,45 +208,29 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _attention(x, leaves, prefix: str, n_heads: int, axis: int, rows=None):
-    """Pre-norm multi-head attention block over the tokens on `axis` of x.
-
-    Without `rows`, every token is a query, a key and a value.  With
-    `rows`, a pair of frame indices, keys (B, S) and queries (B, L), into
-    axis 0 of the (F, D, C) frame list x: item b attends from the frames
-    queries[b] over the frames keys[b], and the block returns the
-    (B, L, D, C) query rows.  The norm and the key and value projections
-    run once per frame, however many items read it.
-    """
-    h = nm.layer_norm(x, leaves[f"{prefix}.ln1_g"], leaves[f"{prefix}.ln1_b"])
-    # no key bias: it adds the same q.b to every score of a query row,
-    # which softmax cancels
-    k = nm.linear(h, leaves[f"{prefix}.wk"])
-    v = nm.linear(h, leaves[f"{prefix}.wv"], leaves[f"{prefix}.bv"])
-    if rows is not None:
-        keys, queries = rows
-        k, v = nm.take_rows(k, keys), nm.take_rows(v, keys)
-        h, x = nm.take_rows(h, queries), nm.take_rows(x, queries)
-    q = nm.linear(h, leaves[f"{prefix}.wq"], leaves[f"{prefix}.bq"])
-    ctx = nm.attention(q, k, v, n_heads, axis)
-    return nm.add(x, nm.linear(ctx, leaves[f"{prefix}.wo"], leaves[f"{prefix}.bo"]))
-
-
-def _feedforward(x, leaves, prefix: str):
-    h = nm.layer_norm(x, leaves[f"{prefix}.ln2_g"], leaves[f"{prefix}.ln2_b"])
-    h = nm.relu(nm.linear(h, leaves[f"{prefix}.ff1_w"], leaves[f"{prefix}.ff1_b"]))
-    h = nm.linear(h, leaves[f"{prefix}.ff2_w"], leaves[f"{prefix}.ff2_b"])
-    return nm.add(x, h)
+# each block's parameters, in the order the fused op takes them; no key
+# bias: it adds the same q.b to every score of a query row, which softmax
+# cancels
+ATTENTION_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+FEEDFORWARD_PARAMS = ("ln2_g", "ln2_b", "ff1_w", "ff1_b", "ff2_w", "ff2_b")
 
 
 def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, rows=None):
-    """Attention over `axis` of the features, then feedforward.
+    """Pre-norm attention over the tokens on `axis`, then the pre-norm feedforward.
 
-    Axis -2 is the spatial layer, axis -3 the temporal one; `rows` is as
-    for `_attention`.
+    Axis -2 is the spatial layer, axis -3 the temporal one.  Without
+    `rows`, every token is a query, a key and a value.  With `rows`, a pair
+    of frame indices, keys (B, S) and queries (B, L), into axis 0 of the
+    (F, D, C) frame list: item b attends from the frames queries[b] over
+    the frames keys[b], and the layer returns the (B, L, D, C) query rows.
+    The norm and the key and value projections run once per frame, however
+    many items read it.  Each block is one tape op.
     """
-    return _feedforward(_attention(feat, leaves, prefix, n_heads, axis, rows),
-                        leaves, prefix)
+    def block(names):
+        return (leaves[f"{prefix}.{name}"] for name in names)
+
+    feat = nm.attention_block(feat, *block(ATTENTION_PARAMS), n_heads, axis, rows)
+    return nm.feedforward(feat, *block(FEEDFORWARD_PARAMS))
 
 
 def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,

@@ -56,6 +56,12 @@ def central_difference(f, x: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarr
                      for i in range(x.size)]).reshape(x.shape)
 
 
+def _pre_norm_params(rng: np.random.Generator, c: int, *shapes) -> tuple:
+    """A block's norm gain (near 1) and bias over c channels, then one array per shape."""
+    return (rng.normal(size=(c,)) + 1.0, rng.normal(size=(c,)),
+            *(rng.normal(size=shape) for shape in shapes))
+
+
 def _op_cases(rng: np.random.Generator) -> list[tuple]:
     """One row per checked op call: (name, op, input arrays).
 
@@ -68,6 +74,8 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
     lw = rng.normal(size=(4, 5))
     idx = rng.integers(0, 3, size=5)
     idx2 = rng.integers(0, 3, size=(2, 3))
+    # wq, bq, wk, wv, bv, wo, bo of a 4-channel attention block
+    attn = ((4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,))
     return [
         ("add", nm.add, (a, b)),
         ("add_broadcast", nm.add, (a, rng.normal(size=(4,)))),
@@ -114,6 +122,20 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
         # each row read once, as the chains' own future frames are
         ("take_rows_unique", lambda x: nm.take_rows(x, [[4, 5], [2, 3]]),
          (rng.normal(size=(6, 2, 3)),)),
+        ("feedforward", nm.feedforward,
+         (rng.normal(size=(2, 3, 4)), *_pre_norm_params(rng, 4, (4, 6), (6,), (6, 4), (4,)))),
+        # the spatial layer: every token of x attends over its own axis -2
+        ("attention_block", lambda x, *p: nm.attention_block(x, *p, 2, -2),
+         (rng.normal(size=(2, 3, 4)), *_pre_norm_params(rng, 4, *attn))),
+        # the temporal layer on a (6, 2, 4) frame list: two chains share
+        # frames 0 and 1 as keys, so the key scatter repeats rows
+        ("attention_block_rows",
+         lambda x, *p: nm.attention_block(x, *p, 2, -3,
+                                          rows=([[0, 1, 2, 3], [0, 1, 4, 5]], [[2, 3], [4, 5]])),
+         (rng.normal(size=(6, 2, 4)), *_pre_norm_params(rng, 4, *attn))),
+        # one row, as a batch-1 sample with L * D = 1 reaches the GEMMs
+        ("attention_block_one_row", lambda x, *p: nm.attention_block(x, *p, 2, -2),
+         (rng.normal(size=(1, 1, 4)), *_pre_norm_params(rng, 4, *attn))),
     ]
 
 

@@ -15,6 +15,19 @@ so a consumed tape can still be counted.
 
 Inference never touches a tape: wrap inputs with `constant` and the ops
 skip recording.
+
+`linear` and `attention` each fuse one GEMM-shaped step.  `attention_block`
+and `feedforward` fuse the two pre-norm blocks of an encoder layer, so a
+layer is two tape records.  They run the operations of the public ops they
+replace (`layer_norm`, `linear`, `take_rows`, `attention`, `relu`, `add`)
+in the same order, through the same private cores (`_normalize`, `_gemm`,
+`_attend`) and backward kernels, so they give the same bytes.  Their
+pullbacks keep only what those ops' records keep: the norm's y and inv,
+the normed rows, the query rows, q, k, v and the probabilities, the
+context, and the ReLU output.  They write in place only into arrays they
+allocated.  Every op finite-checks its output; within a block, the
+attention scores and the feedforward's hidden before its ReLU (which
+would turn a -inf into 0) are checked too.
 """
 
 from __future__ import annotations
@@ -198,6 +211,88 @@ def _heads(a, n_heads, axis):
     return np.moveaxis(a.reshape(*a.shape[:-1], n_heads, -1), axis - 1, -2)
 
 
+# Forward cores shared by the public ops and the fused blocks, so each
+# piece of algebra has one implementation.
+
+
+def _gemm(x2, w, b=None):
+    """x2 (R, C) @ w (C, N), plus b (N,) in place if given: a fresh (R, N) array.
+
+    numpy hands a product with one output column (N = 1) or one row to
+    gemv, whose bits for a row differ from gemm's, and a row's value must
+    not depend on the batch (sample 0 is the same for any sample count).
+    So N = 1 is a row-wise reduction, and one row is multiplied stacked twice.
+    """
+    if w.shape[1] == 1:
+        out = (x2 * w[:, 0]).sum(axis=-1, keepdims=True)
+    else:
+        out = (np.concatenate([x2, x2]) @ w)[:1] if len(x2) == 1 else x2 @ w
+    if b is not None:
+        out += b
+    return out
+
+
+def _normalize(x, gain, bias):
+    """Layer norm of the last axis: (out, y, inv), y the normed rows before the affine part.
+
+    Two full-size arrays: x is centered into y, squared into scratch for
+    the variance, y is scaled in place, and the affine part is written
+    into the scratch, which becomes the output.
+    """
+    y = x - x.mean(axis=-1, keepdims=True)
+    out = y * y
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    y *= inv
+    np.multiply(y, gain, out=out)
+    out += bias
+    return out, y, inv
+
+
+def _check_attention_shapes(shape, kshape, vshape, n_heads, axis):
+    """DimensionError unless q, k, v of these shapes can attend over `axis`."""
+    if (not -len(shape) < axis < -1 or len(kshape) != len(shape) or vshape != kshape
+            or shape[:axis] + shape[axis + 1:] != kshape[:axis] + kshape[axis + 1:]):
+        raise DimensionError(
+            f"attention needs q and k, v that differ only on token axis {axis}, which "
+            f"lies after the first axis and before the channels; got "
+            f"{shape}, {kshape} and {vshape}")
+    if n_heads < 1 or shape[-1] % n_heads:
+        raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")
+
+
+def _attend(qd, kd, vd, n_heads, axis, name):
+    """Scores, softmax and context of multi-head attention: (out, p, factor).
+
+    The scores are finite-checked, in the name of op `name`; p is the
+    (..., H, Sq, S) softmax the pullback keeps.
+    """
+    factor = 1.0 / np.sqrt(qd.shape[-1] // n_heads)
+    heads = partial(_heads, n_heads=n_heads, axis=axis)
+    scores = np.matmul(heads(qd), np.swapaxes(heads(kd), -1, -2))
+    scores *= factor
+    if not np.all(np.isfinite(scores)):
+        raise NumericsError(f"op '{name}' produced a non-finite score")
+    p = _softmax_inplace(scores)
+    out = np.empty(qd.shape)
+    np.matmul(p, heads(vd), out=heads(out))
+    return out, p, factor
+
+
+def _row_index(indices, n_rows):
+    """An integer index array into axis 0 of an array with n_rows rows."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise DimensionError("take_rows index out of range")
+    return idx
+
+
+def _check_shapes(op, named):
+    """DimensionError naming the first (name, tensor, shape) whose tensor has another shape."""
+    for name, t, shape in named:
+        if t.data.shape != shape:
+            raise DimensionError(f"{op}: {name} must have shape {shape}, got {t.data.shape}")
+
+
 # Backward kernels live at module level so diagnostics (and the
 # gradcheck negative control) can intercept them.
 
@@ -211,7 +306,12 @@ def _matmul_backward_b(g, a):
 
 
 def _softmax_backward(g, y):
-    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+    """y * (g - sum(g * y)) over the last axis, in one full-size array."""
+    gy = g * y
+    s = gy.sum(axis=-1, keepdims=True)
+    np.subtract(g, s, out=gy)
+    gy *= y
+    return gy
 
 
 def _linear_backward_x(g2, w):
@@ -241,7 +341,9 @@ def _attention_backward(g, q, k, v, p, n_heads, factor, axis):
 
 
 def _relu_backward(g, out):
-    return g * (out > 0.0)
+    """g * (out > 0), written into g: the caller passes a g it owns."""
+    g *= out > 0.0
+    return g
 
 
 def _take_rows_backward(g, idx, shape):
@@ -263,8 +365,35 @@ def _take_rows_backward(g, idx, shape):
 
 
 def _layer_norm_backward_x(g, gain, y, inv):
+    """inv * (h - mean(h) - y * mean(h * y)) for h = g * gain, in two full-size arrays."""
     h = g * gain
-    return inv * (h - h.mean(axis=-1, keepdims=True) - y * (h * y).mean(axis=-1, keepdims=True))
+    hy = h * y
+    m = hy.mean(axis=-1, keepdims=True)
+    h -= h.mean(axis=-1, keepdims=True)
+    np.multiply(y, m, out=hy)
+    h -= hy
+    h *= inv
+    return h
+
+
+# Pullback pieces shared by the public ops and the fused blocks.
+
+
+def _column_sums(g):
+    """Sum over every axis but the last: the gradient of a bias added to g's rows."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _linear_pullback(g, x2, w):
+    """(dL/dx, dL/dw) of x2 @ w, dL/dx with the leading axes of g."""
+    g2 = g.reshape(-1, w.shape[1])
+    return (_linear_backward_x(g2, w).reshape(*g.shape[:-1], w.shape[0]),
+            _linear_backward_w(g2, x2))
+
+
+def _layer_norm_pullback(g, gain, y, inv):
+    """(dL/dx, dL/dgain, dL/dbias) of layer norm, from its kept y and inv."""
+    return _layer_norm_backward_x(g, gain, y, inv), _column_sums(g * y), _column_sums(g)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +471,9 @@ def linear(x, w, b=None) -> Tensor:
     """Affine map of the last axis: x @ w + b for x (..., C), w (C, N), b (N,).
 
     The bias is optional.  The leading axes are flattened, so the forward
-    is one 2-D GEMM and each matrix gradient is one GEMM over all rows:
-    dL/dx = g @ w^T and dL/dw = x^T @ g; dL/db is the column sums of g.
-
-    numpy hands a product with one output column (N = 1) or one row to
-    gemv, whose bits for a row differ from gemm's, and a row's value must
-    not depend on the batch (sample 0 is the same for any sample count).
-    So N = 1 is a row-wise reduction, and one row is multiplied stacked twice.
+    is one 2-D GEMM (`_gemm`, whose rows do not depend on the row count)
+    and each matrix gradient is one GEMM over all rows: dL/dx = g @ w^T
+    and dL/dw = x^T @ g; dL/db is the column sums of g.
     """
     x, w = _coerce(x), _coerce(w)
     if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
@@ -358,27 +483,19 @@ def linear(x, w, b=None) -> Tensor:
     inputs = [x, w]
     if b is not None:
         b = _coerce(b)
-        if b.data.shape != (n,):
-            raise DimensionError(f"linear bias must have shape ({n},), got {b.data.shape}")
+        _check_shapes("linear", [("bias", b, (n,))])
         inputs.append(b)
-    xsh = x.data.shape
     x2, wd = x.data.reshape(-1, c), w.data
-    if n == 1:
-        out = (x2 * wd[:, 0]).sum(axis=-1, keepdims=True)
-    else:
-        out = (np.concatenate([x2, x2]) @ wd)[:1] if len(x2) == 1 else x2 @ wd
-    if b is not None:
-        out += b.data
+    out = _gemm(x2, wd, None if b is None else b.data)
     # the pullback captures a bool, not b: a taped tensor held by a record
     # would tie the tape into a reference cycle
     has_bias = b is not None
 
     def pull(g):
-        g2 = g.reshape(-1, n)
-        grads = (_linear_backward_x(g2, wd).reshape(xsh), _linear_backward_w(g2, x2))
-        return grads + (g2.sum(axis=0),) if has_bias else grads
+        grads = _linear_pullback(g, x2, wd)
+        return grads + (_column_sums(g),) if has_bias else grads
 
-    return _emit("linear", out.reshape(*xsh[:-1], n), inputs, pull)
+    return _emit("linear", out.reshape(*x.data.shape[:-1], n), inputs, pull)
 
 
 def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
@@ -394,25 +511,9 @@ def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
     The pullback reuses the kept probabilities.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    shape, kshape = q.data.shape, k.data.shape
-    if (not -len(shape) < axis < -1 or len(kshape) != len(shape) or v.data.shape != kshape
-            or shape[:axis] + shape[axis + 1:] != kshape[:axis] + kshape[axis + 1:]):
-        raise DimensionError(
-            f"attention needs q and k, v that differ only on token axis {axis}, which "
-            f"lies after the first axis and before the channels; got "
-            f"{q.data.shape}, {k.data.shape} and {v.data.shape}")
-    if n_heads < 1 or shape[-1] % n_heads:
-        raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")
-    factor = 1.0 / np.sqrt(shape[-1] // n_heads)
+    _check_attention_shapes(q.data.shape, k.data.shape, v.data.shape, n_heads, axis)
     qd, kd, vd = q.data, k.data, v.data
-    heads = partial(_heads, n_heads=n_heads, axis=axis)
-    scores = np.matmul(heads(qd), np.swapaxes(heads(kd), -1, -2))
-    scores *= factor
-    if not np.all(np.isfinite(scores)):
-        raise NumericsError("op 'attention' produced a non-finite score")
-    p = _softmax_inplace(scores)
-    out = np.empty(shape)
-    np.matmul(p, heads(vd), out=heads(out))
+    out, p, factor = _attend(qd, kd, vd, n_heads, axis, "attention")
 
     def pull(g):
         return _attention_backward(g, qd, kd, vd, p, n_heads, factor, axis)
@@ -427,7 +528,7 @@ def relu(a) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def pull(g):
-        return (_relu_backward(g, out),)
+        return (_relu_backward(g.copy(), out),)
 
     return _emit("relu", out, [a], pull)
 
@@ -459,17 +560,11 @@ def layer_norm(a, gain, bias) -> Tensor:
     if gain.data.shape != (n,) or bias.data.shape != (n,):
         raise DimensionError(
             f"gain/bias must have shape ({n},), got {gain.data.shape} and {bias.data.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    y = xc * inv
-    out = y * gain.data + bias.data
+    out, y, inv = _normalize(a.data, gain.data, bias.data)
     gdata = gain.data
 
     def pull(g):
-        return (_layer_norm_backward_x(g, gdata, y, inv),
-                (g * y).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+        return _layer_norm_pullback(g, gdata, y, inv)
 
     return _emit("layer_norm", out, [a, gain, bias], pull)
 
@@ -537,9 +632,7 @@ def take_rows(a, indices) -> Tensor:
     The output has shape `indices.shape + a.shape[1:]`.
     """
     a = _coerce(a)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise DimensionError("take_rows index out of range")
+    idx = _row_index(indices, a.data.shape[0])
     out = np.ascontiguousarray(a.data[idx])
     ash = a.data.shape
 
@@ -570,3 +663,136 @@ def mean_all(a) -> Tensor:
         return (np.broadcast_to(g / n, ash).copy(),)
 
     return _emit("mean_all", out, [a], pull)
+
+
+# ---------------------------------------------------------------------------
+# fused pre-norm blocks: one tape op each
+# ---------------------------------------------------------------------------
+
+
+def attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads: int,
+                    axis: int, rows=None) -> Tensor:
+    """Pre-norm multi-head attention with its residual: x + attention(q, k, v) @ wo + bo.
+
+    h = layer_norm(x, ln1_g, ln1_b), k = h @ wk, v = h @ wv + bv, and
+    q = h @ wq + bq, over the tokens on `axis` as in `attention`.  Without
+    `rows`, every token is a query, a key and a value.  With `rows`, a pair
+    of index arrays (keys, queries) into axis 0 of x: k and v are gathered
+    by keys, h and the residual x by queries, as `take_rows` would, and
+    the output has the query rows' shape.
+
+    It runs the operations of that composition of `layer_norm`, `linear`,
+    `take_rows`, `attention` and `add` in their order, so its output and
+    gradients have their bytes.  Bias adds and the residual are written
+    into the GEMM outputs, which only this op holds.  The pullback keeps
+    the norm's y and inv, the normed rows h, the query rows of h, q, k, v,
+    the probabilities and the context.  It adds the gradient into h in the
+    tape's reverse order, q's (scattered through queries), then v's, then
+    k's, and into x the residual's, then the norm's.
+    """
+    x = _coerce(x)
+    gain, beta, wq, bq, wk, wv, bv, wo, bo = params = [
+        _coerce(t) for t in (ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo)]
+    if x.data.ndim < 2:
+        raise DimensionError(f"attention_block needs x (..., C), got {x.data.shape}")
+    xd = x.data
+    c = xd.shape[-1]
+    vec, mat = (c,), (c, c)
+    _check_shapes("attention_block", [
+        ("ln1_g", gain, vec), ("ln1_b", beta, vec), ("wq", wq, mat), ("bq", bq, vec),
+        ("wk", wk, mat), ("wv", wv, mat), ("bv", bv, vec), ("wo", wo, mat), ("bo", bo, vec)])
+    if rows is None:
+        qshape = kshape = xd.shape
+    else:
+        keys, queries = (_row_index(r, xd.shape[0]) for r in rows)
+        qshape, kshape = queries.shape + xd.shape[1:], keys.shape + xd.shape[1:]
+    _check_attention_shapes(qshape, kshape, kshape, n_heads, axis)
+
+    hn, y, inv = _normalize(xd, gain.data, beta.data)
+    hn2 = hn.reshape(-1, c)
+    k = _gemm(hn2, wk.data).reshape(xd.shape)
+    if rows is not None:
+        k = k[keys]
+    v = _gemm(hn2, wv.data, bv.data).reshape(xd.shape)
+    if rows is None:
+        hq, xq = hn, xd
+    else:
+        v, hq, xq = v[keys], hn[queries], xd[queries]
+    hq2 = hq.reshape(-1, c)
+    q = _gemm(hq2, wq.data, bq.data).reshape(qshape)
+    ctx, p, factor = _attend(q, k, v, n_heads, axis, "attention_block")
+    ctx2 = ctx.reshape(-1, c)
+    out = _gemm(ctx2, wo.data, bo.data).reshape(qshape)
+    out += xq
+    shape = xd.shape
+    gd, wqd, wkd, wvd, wod = gain.data, wq.data, wk.data, wv.data, wo.data
+
+    def pull(g):
+        gctx, gwo = _linear_pullback(g, ctx2, wod)
+        gq, gk, gv = _attention_backward(gctx, q, k, v, p, n_heads, factor, axis)
+        del gctx
+        ghq, gwq = _linear_pullback(gq, hq2, wqd)
+        if rows is None:
+            gx, gh = g, ghq
+        else:
+            gx = _take_rows_backward(g, queries, shape)
+            gh = _take_rows_backward(ghq, queries, shape)
+            gk = _take_rows_backward(gk, keys, shape)
+            gv = _take_rows_backward(gv, keys, shape)
+        del ghq
+        ghv, gwv = _linear_pullback(gv, hn2, wvd)
+        gh += ghv
+        del ghv
+        ghk, gwk = _linear_pullback(gk, hn2, wkd)
+        gh += ghk
+        del ghk
+        gxn, ggain, gbeta = _layer_norm_pullback(gh, gd, y, inv)
+        gxn += gx
+        return (gxn, ggain, gbeta, gwq, _column_sums(gq), gwk, gwv, _column_sums(gv),
+                gwo, _column_sums(g))
+
+    return _emit("attention_block", out, [x, *params], pull)
+
+
+def feedforward(x, ln2_g, ln2_b, ff1_w, ff1_b, ff2_w, ff2_b) -> Tensor:
+    """Pre-norm ReLU feedforward with its residual: x + relu(h @ ff1_w + ff1_b) @ ff2_w + ff2_b.
+
+    h = layer_norm(x, ln2_g, ln2_b).  It runs the operations of that
+    composition of `layer_norm`, `linear`, `relu` and `add` in their order,
+    so its output and gradients have their bytes.  The bias adds, the ReLU
+    and the residual are written into the GEMM outputs, which only this op
+    holds.  The hidden is finite-checked before the ReLU, which would turn
+    a -inf into 0.  The pullback keeps the norm's y and inv, the normed
+    rows h and the ReLU output, and adds the gradient into x in the tape's
+    reverse order: the residual's, then the norm's.
+    """
+    x = _coerce(x)
+    gain, beta, w1, b1, w2, b2 = params = [
+        _coerce(t) for t in (ln2_g, ln2_b, ff1_w, ff1_b, ff2_w, ff2_b)]
+    if x.data.ndim < 1:
+        raise DimensionError(f"feedforward needs x (..., C), got {x.data.shape}")
+    xd = x.data
+    c, hid = xd.shape[-1], b1.data.size
+    _check_shapes("feedforward", [("ln2_g", gain, (c,)), ("ln2_b", beta, (c,)),
+                                  ("ff1_w", w1, (c, hid)), ("ff1_b", b1, (hid,)),
+                                  ("ff2_w", w2, (hid, c)), ("ff2_b", b2, (c,))])
+
+    hn, y, inv = _normalize(xd, gain.data, beta.data)
+    hn2 = hn.reshape(-1, c)
+    r2 = _gemm(hn2, w1.data, b1.data)
+    if not np.all(np.isfinite(r2)):
+        raise NumericsError("op 'feedforward' produced a non-finite hidden value")
+    np.maximum(r2, 0.0, out=r2)
+    out = _gemm(r2, w2.data, b2.data).reshape(xd.shape)
+    out += xd
+    gd, w1d, w2d = gain.data, w1.data, w2.data
+
+    def pull(g):
+        gr, gw2 = _linear_pullback(g, r2, w2d)
+        ga = _relu_backward(gr, r2.reshape(gr.shape))
+        gh, gw1 = _linear_pullback(ga, hn2, w1d)
+        gxn, ggain, gbeta = _layer_norm_pullback(gh, gd, y, inv)
+        gxn += g
+        return gxn, ggain, gbeta, gw1, _column_sums(ga), gw2, _column_sums(g)
+
+    return _emit("feedforward", out, [x, *params], pull)

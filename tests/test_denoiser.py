@@ -237,22 +237,24 @@ class TestForward:
     def test_observed_frames_are_encoded_once_per_step(self, variant, monkeypatch):
         # one reverse step: every GEMM of N = 7 chains has 6 * L * D rows more
         # than that of one chain, the rows of the 6 more futures, and none of
-        # the observation's T * D rows again
+        # the observation's T * D rows again; counted at the GEMM helper that
+        # `linear` and the fused blocks share
         cfg = toy_config(variant, k_steps=1)
         model = init_denoiser(cfg, seed=3)
         obs, _ = toy_inputs(cfg)
-        true_linear, rows = nm.linear, []
+        true_gemm, rows = nm._gemm, []
 
-        def counting(x, w, b=None):
-            rows[-1].append(x.data.size // x.data.shape[-1])
-            return true_linear(x, w, b)
+        def counting(x2, w, b=None):
+            rows[-1].append(len(x2))
+            return true_gemm(x2, w, b)
 
-        monkeypatch.setattr(nm, "linear", counting)
+        monkeypatch.setattr(nm, "_gemm", counting)
         for n in (1, 7):
             rows.append([])
             sample_stochastic(model, obs, n, 0, build_schedule(1, 0.01, 0.3))
         one, seven = map(np.array, rows)
-        assert one.shape == seven.shape
+        # 6 GEMMs per encoder layer, and the readout
+        assert one.shape == seven.shape == (13 if variant == "series" else 15,)
         np.testing.assert_array_equal(seven - one, 6 * cfg.l_pred * cfg.dim)
 
     def test_step_range_guard(self):
@@ -429,9 +431,10 @@ class TestMatchesReferenceForward:
                                        rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("variant, records", [("series", 40), ("parallel", 44)])
+@pytest.mark.parametrize("variant, records", [("series", 16), ("parallel", 20)])
 def test_training_step_tape_records(variant, records):
     # both layers attend in place on the frame list: no transposed copies;
+    # each encoder layer is one attention_block and one feedforward record;
     # the step embedding is gathered into its (M, 1, 1, C) shape in one record;
     # backward releases every pullback and keeps every record
     cfg = toy_config(variant)
@@ -442,6 +445,7 @@ def test_training_step_tape_records(variant, records):
     names = [rec.name for rec in tape.records]
     assert len(names) == records
     assert "transpose" not in names
+    assert names.count("attention_block") == names.count("feedforward") == 2
     tape.gradients(loss, leaves)
     assert len(tape.records) == records
     assert [rec.pullback for rec in tape.records] == [None] * records

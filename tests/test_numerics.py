@@ -245,6 +245,142 @@ class TestFusedOpsMatchComposition:
             nm.attention(big, big, big, 1)
 
 
+def composed_attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads, axis,
+                             rows=None):
+    h = nm.layer_norm(x, ln1_g, ln1_b)
+    k = nm.linear(h, wk)
+    v = nm.linear(h, wv, bv)
+    if rows is not None:
+        keys, queries = rows
+        k, v = nm.take_rows(k, keys), nm.take_rows(v, keys)
+        h, x = nm.take_rows(h, queries), nm.take_rows(x, queries)
+    q = nm.linear(h, wq, bq)
+    return nm.add(x, nm.linear(nm.attention(q, k, v, n_heads, axis), wo, bo))
+
+
+def composed_feedforward(x, ln2_g, ln2_b, ff1_w, ff1_b, ff2_w, ff2_b):
+    h = nm.relu(nm.linear(nm.layer_norm(x, ln2_g, ln2_b), ff1_w, ff1_b))
+    return nm.add(x, nm.linear(h, ff2_w, ff2_b))
+
+
+ATTENTION_BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo")
+FEEDFORWARD_PARAMS = ("ln2_g", "ln2_b", "ff1_w", "ff1_b", "ff2_w", "ff2_b")
+
+
+def block_arrays(rng, x_shape, names, hidden=None):
+    """x plus one array per parameter name of a block over x's channels."""
+    c = x_shape[-1]
+    shapes = {"ff1_w": (c, hidden), "ff1_b": (hidden,), "ff2_w": (hidden, c)}
+    arrays = {"x": rng.normal(size=x_shape)}
+    for name in names:
+        shape = shapes.get(name, (c, c) if name.startswith("w") else (c,))
+        arrays[name] = rng.normal(size=shape) + (1.0 if name.endswith("_g") else 0.0)
+    return arrays
+
+
+@st.composite
+def attention_block_cases(draw):
+    """(x shape, n_heads, axis, rows) as the spatial and temporal layers call the block.
+
+    The temporal case lays out M observations of T frames, each read by
+    r chains with their own L frames, as `denoiser._forward` does; r > 1
+    makes the chains share the observed rows.  Extents of 1 give one-row
+    GEMMs.
+    """
+    n_heads = draw(st.sampled_from([1, 2]))
+    c = n_heads * draw(st.sampled_from([1, 2]))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), d, c), n_heads, -2, None
+    m, r, t, l = (draw(st.integers(1, 3)) for _ in range(4))
+    g = t + r * l
+    b = m * r
+    first = np.arange(b) // r * g
+    future = (first + t + np.arange(b) % r * l)[:, None] + np.arange(l)
+    keys = np.concatenate([first[:, None] + np.arange(t), future], axis=1)
+    return (m * g, d, c), n_heads, -3, (keys, future)
+
+
+class TestFusedBlocksGiveTheComposedBytes:
+    """`attention_block` and `feedforward` against the public ops they replace.
+
+    The output and every input's gradient must have the same bytes, which
+    holds only while the fused ops keep the composition's operations and
+    its order of accumulating gradients.
+    """
+
+    @staticmethod
+    def assert_same_bytes(fused, composed, arrays, seed):
+        weight = np.random.default_rng(seed).normal(
+            size=fused({k: nm.constant(v) for k, v in arrays.items()}).shape)
+        got, want = (value_and_grads(op, arrays, weight) for op in (fused, composed))
+        assert got[0].tobytes() == want[0].tobytes()
+        for name in arrays:
+            assert got[1][name].shape == want[1][name].shape, name
+            assert got[1][name].tobytes() == want[1][name].tobytes(), name
+
+    @given(attention_block_cases(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_attention_block(self, case, seed):
+        x_shape, n_heads, axis, rows = case
+        arrays = block_arrays(np.random.default_rng(seed), x_shape, ATTENTION_BLOCK_PARAMS)
+
+        def call(op):
+            return lambda t: op(t["x"], *(t[n] for n in ATTENTION_BLOCK_PARAMS),
+                                n_heads, axis, rows)
+
+        self.assert_same_bytes(call(nm.attention_block), call(composed_attention_block),
+                               arrays, seed)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.sampled_from([1, 2, 4]),
+           st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_feedforward(self, lead, c, hidden, seed):
+        arrays = block_arrays(np.random.default_rng(seed), (*lead, c), FEEDFORWARD_PARAMS,
+                              hidden)
+
+        def call(op):
+            return lambda t: op(t["x"], *(t[n] for n in FEEDFORWARD_PARAMS))
+
+        self.assert_same_bytes(call(nm.feedforward), call(composed_feedforward), arrays, seed)
+
+    def test_hidden_overflow_is_caught_before_the_relu(self, rng):
+        # gain 0 and bias 1 make every normed channel 1, so each hidden unit
+        # sums C terms of -1e308 to -inf; the ReLU would turn that into 0 and
+        # the output would be finite
+        c, hidden = 4, 8
+        with np.errstate(over="ignore"), pytest.raises(NumericsError, match="'feedforward'"):
+            nm.feedforward(rng.normal(size=(2, 3, c)), np.zeros(c), np.ones(c),
+                           np.full((c, hidden), -1e308), np.zeros(hidden),
+                           rng.normal(size=(hidden, c)), np.zeros(c))
+
+    def test_non_finite_score_names_the_block(self):
+        # normed rows of +-1 projected by 1e200 give scores of 2e400
+        x = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+        eye = np.eye(2) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericsError, match="'attention_block'"):
+            nm.attention_block(x, np.ones(2), np.zeros(2), eye, np.zeros(2), eye, eye,
+                               np.zeros(2), np.eye(2), np.zeros(2), 1, -2)
+
+    def test_shape_errors(self, rng):
+        arrays = block_arrays(rng, (2, 3, 4), ATTENTION_BLOCK_PARAMS)
+        params = [arrays[n] for n in ATTENTION_BLOCK_PARAMS]
+        for bad in ([np.ones(3), *params[1:]], [*params[:2], np.ones((4, 3)), *params[3:]]):
+            with pytest.raises(DimensionError):
+                nm.attention_block(arrays["x"], *bad, 2, -2)
+        with pytest.raises(DimensionError):
+            nm.attention_block(arrays["x"], *params, 3, -2)
+        with pytest.raises(DimensionError):
+            nm.attention_block(arrays["x"], *params, 2, -2, rows=([[0, 2]], [[0]]))
+        with pytest.raises(DimensionError):
+            nm.attention_block(np.ones(4), *params, 2, -2)
+        ff = block_arrays(rng, (2, 3, 4), FEEDFORWARD_PARAMS, 8)
+        with pytest.raises(DimensionError):
+            nm.feedforward(ff["x"], *(ff[n] for n in FEEDFORWARD_PARAMS[:4]),
+                           np.ones((4, 8)), ff["ff2_b"])
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         out = nm.layer_norm(nm.constant([[5.0, 5.0, 5.0]]),
@@ -357,6 +493,15 @@ PROTOCOL_CASES = {
     "concat": (lambda t: nm.concat([t["a"], t["b"]], axis=-1), {"a": (3, 2), "b": (3, 4)}),
     "attention": (lambda t: nm.attention(t["q"], t["k"], t["v"], 2, axis=-3),
                   {"q": (2, 2, 3, 4), "k": (2, 3, 3, 4), "v": (2, 3, 3, 4)}),
+    "attention_block": (
+        lambda t: nm.attention_block(t["x"], *(t[n] for n in ATTENTION_BLOCK_PARAMS), 2, -3,
+                                     rows=([[0, 1, 2], [0, 1, 3]], [[2], [3]])),
+        {"x": (4, 2, 4), **{n: (4, 4) if n.startswith("w") else (4,)
+                            for n in ATTENTION_BLOCK_PARAMS}}),
+    "feedforward": (
+        lambda t: nm.feedforward(t["x"], *(t[n] for n in FEEDFORWARD_PARAMS)),
+        {"x": (2, 3, 4), "ln2_g": (4,), "ln2_b": (4,), "ff1_w": (4, 6), "ff1_b": (6,),
+         "ff2_w": (6, 4), "ff2_b": (4,)}),
 }
 
 
