@@ -11,11 +11,12 @@ per-position 2 -> 1 kernel.
 One call predicts noise for B chains from M observations, M dividing B:
 chain j reads observation j // (B / M), and the chains that share an
 observation share its step k.  Each observation's frames are encoded
-once, however many chains read them.  The call's frames form one
-(F, D, C) frame list, F = M*T + B*L, grouped by observation: observation
-i's T frames, then the L frames of each of its chains in turn.  Training
-passes one observation per chain, where the list is each chain's T + L
-frames in turn; the sampler passes one observation for all N chains.
+once per call, however many of its chains read them.  The call's frames
+form one (F, D, C) frame list, F = M*T + B*L, grouped by observation:
+observation i's T frames, then the L frames of each of its chains in
+turn.  Training passes one observation per chain, where the list is each
+chain's T + L frames in turn; the sampler passes one observation for all
+N chains.
 
 Attention is bidirectional everywhere: no causal mask.  Both layers run
 one encoder layer, told which axis holds the tokens, and every other
@@ -35,6 +36,16 @@ residual, output projection and feedforward, and the readout, run on the
 the whole frame list, because the temporal keys and values of the
 observed frames are read from it; the parallel variant runs its spatial
 branch on the future frames alone.
+
+Inference runs in cache-sized groups.  `eval_batch` splits its B chains
+into consecutive calls whose (rows, model_dim) activation of future rows
+stays within `EVAL_GROUP_BYTES`, G chains per call: each observation's
+chains go in calls of at most G, with that observation alone, which is
+encoded once in each.  A chain's row depends neither on its batch nor on
+N, so the groups give the bytes of one whole-batch call.  Training's
+`forward_batch` stays one call over the whole batch: its weight
+gradients and bias column sums must see every row at once to keep their
+bits.
 """
 
 from __future__ import annotations
@@ -51,6 +62,16 @@ VARIANTS = ("series", "parallel")
 FF_RATIO = 4          # feedforward hidden width / model_dim
 STEP_EMB_STD = 0.02   # init scale of the step-embedding table
 OUT_HEAD_SCALE = 0.05 # shrink output heads so initial predictions sit near zero
+
+# The largest (rows, model_dim) float64 activation of future rows that one
+# inference call builds: 1.25 MiB, 8 chains (2,400 rows) at CLI defaults.
+# A whole N = 50 call there streams 7.8 MB per activation and 31 MB per
+# feedforward hidden from DRAM; a group's arrays stay near L2 size.  One
+# N = 50 task at CLI defaults, under the CLI's allocator settings, took
+# 4.9-5.2 s unsplit, 3.9-4.4 s at 2,400 rows per call, 4.2-4.7 s at 600
+# and 1,200 rows, and 4.5-5.9 s at 4,800 and 9,600 rows (Xeon with 2 MiB
+# of L2 per core, OpenBLAS at 1 thread).
+EVAL_GROUP_BYTES = 5 << 18
 
 
 @dataclass(frozen=True)
@@ -160,17 +181,27 @@ class DenoiserModel:
 
     def forward_batch(self, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
                       x_k: np.ndarray, ks: np.ndarray) -> nm.Tensor:
-        return _forward(self.config, leaves, p_obs, x_k, ks)
+        return _forward(self.config, leaves, *_check_batch(self.config, p_obs, x_k, ks))
 
     def eval_batch(self, p_obs: np.ndarray, x_k: np.ndarray,
                    ks: np.ndarray) -> np.ndarray:
         """Inference forward; counts one evaluation per batch item.
 
         p_obs is (M, T, D) for the (B, L, D) x_k, M dividing B (see `_forward`).
+        The whole batch is checked first, then run as consecutive groups of
+        chains whose future-row activations fit `EVAL_GROUP_BYTES` (the
+        rule is `_eval_groups`), so the working set stays near cache size
+        and does not grow with B.  A chain's row does not depend on its
+        batch, so the concatenated outputs are the bytes of one whole-batch
+        call.  Training's `forward_batch` stays one call over its batch.
         """
-        out = _forward(self.config, self.bind(None), p_obs, x_k, ks)
-        self.eval_count += int(np.asarray(x_k).shape[0])
-        return out.data
+        cfg = self.config
+        p_obs, x_k, ks = _check_batch(cfg, p_obs, x_k, ks)
+        leaves = self.bind(None)
+        out = np.concatenate([_forward(cfg, leaves, p_obs[obs], x_k[chains], ks[chains]).data
+                              for obs, chains in _eval_groups(cfg, len(p_obs), len(x_k))])
+        self.eval_count += len(x_k)
+        return out
 
 
 def init_denoiser(config: DenoiserConfig, seed: int) -> DenoiserModel:
@@ -233,18 +264,27 @@ def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, rows=None
     return nm.feedforward(feat, *block(FEEDFORWARD_PARAMS))
 
 
-def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
-             x_k: np.ndarray, ks: np.ndarray):
-    """Batched noise prediction: (M, T, D), (B, L, D), (B,) -> (B, L, D).
+def _eval_groups(cfg: DenoiserConfig, m: int, b: int):
+    """(observation slice, chain slice) of each inference call over M observations, B chains.
 
-    M divides B, and chain j reads observation j // (B / M).  Chains that
-    share an observation share its step k, which its frames carry.
+    G chains fit one call: their (G * L * D, model_dim) float64 activation
+    stays within `EVAL_GROUP_BYTES`, or G = 1.  Each observation's
+    r = B / M chains go in calls of at most G, each with that observation
+    alone.
     """
+    g = max(1, EVAL_GROUP_BYTES // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
+    r = b // m
+    return [(slice(i, i + 1), slice(i * r + j, i * r + min(j + g, r)))
+            for i in range(m) for j in range(0, r, g)]
+
+
+def _check_batch(cfg: DenoiserConfig, p_obs, x_k, ks):
+    """(p_obs, x_k, ks) as float64, float64 and intp arrays, checked for `_forward`."""
     p_obs = np.asarray(p_obs, dtype=np.float64)
     x_k = np.asarray(x_k, dtype=np.float64)
     ks = np.asarray(ks, dtype=np.intp)
     b = x_k.shape[0]
-    t, l, d, c = cfg.t_obs, cfg.l_pred, cfg.dim, cfg.model_dim
+    t, l, d = cfg.t_obs, cfg.l_pred, cfg.dim
     if x_k.shape != (b, l, d):
         raise DimensionError(f"noised-future batch shape {x_k.shape} != {(b, l, d)}")
     if (p_obs.ndim != 3 or p_obs.shape[1:] != (t, d)
@@ -255,11 +295,24 @@ def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarra
         raise DimensionError(f"ks shape {ks.shape} != ({b},)")
     if np.any(ks < 1) or np.any(ks > cfg.k_steps):
         raise ContractError(f"diffusion steps must lie in [1, {cfg.k_steps}]")
-    m = len(p_obs)
-    r = b // m                                  # chains per observation
-    group_ks = ks.reshape(m, r)
+    group_ks = ks.reshape(len(p_obs), -1)
     if np.any(group_ks != group_ks[:, :1]):
         raise ContractError("chains that share an observation must share its diffusion step")
+    return p_obs, x_k, ks
+
+
+def _forward(cfg: DenoiserConfig, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
+             x_k: np.ndarray, ks: np.ndarray):
+    """Batched noise prediction: (M, T, D), (B, L, D), (B,) -> (B, L, D).
+
+    M divides B, and chain j reads observation j // (B / M).  Chains that
+    share an observation share its step k, which its frames carry.  The
+    inputs come as `_check_batch` returns them.
+    """
+    b, m = len(x_k), len(p_obs)
+    t, l, d, c = cfg.t_obs, cfg.l_pred, cfg.dim, cfg.model_dim
+    r = b // m                                  # chains per observation
+    group_ks = ks.reshape(m, r)
 
     # observation i's T frames, then the L frames of each of its chains
     # i*r .. i*r + r - 1, embedded as (M, G, D, C) and then listed: at M = B

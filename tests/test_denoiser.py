@@ -1,10 +1,14 @@
 """Denoiser architecture: encodings, attention blocks, variant wiring,
 parameter inventory, and evaluation-count bookkeeping."""
 
+import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motion_diffusion.numerics as nm
 from motion_diffusion import denoiser as dn
@@ -306,6 +310,99 @@ class TestForward:
         obs_first = obs.copy()
         obs_first[0] += 0.5
         assert not np.array_equal(eval_one(model, obs_first, fut, 2)[-1], base[-1])
+
+
+# CLI defaults, the shape the group budget is sized for
+CLI_SHAPE = dict(model_dim=64, n_heads=4, t_obs=16, l_pred=20, dim=15)
+
+
+def chain_bytes(cfg):
+    """Bytes of one chain's (L * D, model_dim) float64 activation."""
+    return cfg.l_pred * cfg.dim * cfg.model_dim * 8
+
+
+class TestEvalGroups:
+    """`eval_batch` runs `_forward` on groups of chains that fit `EVAL_GROUP_BYTES`."""
+
+    @given(variant=st.sampled_from(["series", "parallel"]), n_heads=st.sampled_from([1, 2]),
+           t_obs=st.integers(1, 3), l_pred=st.integers(1, 2), dim=st.integers(1, 3),
+           m=st.integers(1, 4), r=st.integers(1, 7), g=st.integers(0, 4),
+           spare=st.floats(0.0, 0.99), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_groups_give_the_bytes_of_one_call(self, variant, n_heads, t_obs, l_pred, dim,
+                                               m, r, g, spare, seed):
+        # a budget of g chains and a remainder: each observation's chains
+        # in calls of at most g, with that observation alone
+        cfg = DenoiserConfig(variant=variant, model_dim=8, n_heads=n_heads, t_obs=t_obs,
+                             l_pred=l_pred, dim=dim, k_steps=3)
+        model = init_denoiser(cfg, seed)
+        rng = np.random.default_rng(seed)
+        b = m * r
+        p_obs = rng.normal(size=(m, t_obs, dim))
+        x_k = rng.normal(size=(b, l_pred, dim))
+        ks = np.repeat(rng.integers(1, 4, size=m), r)
+        budget = int((g + spare) * chain_bytes(cfg))
+        with mock.patch.object(dn, "EVAL_GROUP_BYTES", budget), \
+                mock.patch.object(dn, "_forward", wraps=dn._forward) as calls:
+            got = model.eval_batch(p_obs, x_k, ks)
+        want = model.forward_batch(model.bind(None), p_obs, x_k, ks).data
+        assert got.tobytes() == want.tobytes()
+        per_call = max(g, 1)
+        assert calls.call_count == m * -(-r // per_call)
+        for call in calls.call_args_list:
+            assert len(call.args[2]) == 1 and len(call.args[3]) <= per_call
+        assert model.eval_count == b
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_gemm_rows_stay_within_the_budget(self, variant, monkeypatch):
+        # one reverse step of N = 50 chains at CLI defaults: no GEMM sees
+        # more than the budget's rows plus the observation's T * D rows
+        cfg = DenoiserConfig(variant=variant, k_steps=1, **CLI_SHAPE)
+        model = init_denoiser(cfg, seed=0)
+        true_gemm, rows = nm._gemm, []
+
+        def counting(x2, w, b=None):
+            rows.append(len(x2))
+            return true_gemm(x2, w, b)
+
+        monkeypatch.setattr(nm, "_gemm", counting)
+        obs = np.random.default_rng(0).normal(size=(cfg.t_obs, cfg.dim))
+        sample_stochastic(model, obs, 50, 0, build_schedule(1, 0.01, 0.3))
+        budget_rows = dn.EVAL_GROUP_BYTES // (cfg.model_dim * 8)
+        assert max(rows) <= budget_rows + cfg.t_obs * cfg.dim
+
+    def test_sampling_memory_does_not_grow_with_n(self):
+        # at CLI defaults N = 64 runs as 8 calls the size of the one N = 8
+        # call; as one call its traced peak was 7.8 times N = 8's
+        cfg = DenoiserConfig(variant="series", k_steps=1, **CLI_SHAPE)
+        model = init_denoiser(cfg, seed=0)
+        obs = np.random.default_rng(0).normal(size=(cfg.t_obs, cfg.dim))
+        sched = build_schedule(1, 0.01, 0.3)
+        peaks = []
+        for n in (8, 64):
+            tracemalloc.start()
+            try:
+                sample_stochastic(model, obs, n, 0, sched)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_counters_do_not_see_the_groups(self, monkeypatch):
+        # N * K evaluations and one eval_batch call per reverse step, with
+        # or without groups
+        cfg = toy_config("parallel", k_steps=3)
+        obs, _ = toy_inputs(cfg)
+        sched = build_schedule(3, 0.01, 0.3)
+        counts = []
+        for budget in (dn.EVAL_GROUP_BYTES, 2 * chain_bytes(cfg)):
+            model = init_denoiser(cfg, seed=1)
+            monkeypatch.setattr(dn, "EVAL_GROUP_BYTES", budget)
+            monkeypatch.setattr(model, "eval_batch", mock.Mock(wraps=model.eval_batch))
+            samples = sample_stochastic(model, obs, 7, 0, sched).samples
+            counts.append((model.eval_count, model.eval_batch.call_count, samples.tobytes()))
+        assert counts[0] == counts[1]
+        assert counts[0][:2] == (7 * 3, 3)
 
 
 # Reference forward built from the primitive public ops.  Unlike `_forward`

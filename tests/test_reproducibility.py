@@ -1,11 +1,15 @@
 """The bit-for-bit reproducibility contract at every small shape.
 
 Four properties, in both variants: sample i does not depend on the
-sample count N, one item's `eval_batch` row does not depend on the batch
+sample count N, one item's forward row does not depend on the batch
 size, its position or its batch-mates, an observation shared by several
 chains gives the bytes of the same observation repeated for each, and a
 resumed training run equals an uninterrupted one.  The shapes include L*D = 1, where a one-row
 product once took another BLAS path than the same row among others.
+
+`eval_batch` splits its chains into groups and relies on these properties
+to give the bytes of one call, so the rows here come from one whole-batch
+`forward_batch`, and the samplers' chains fit one group.
 """
 
 from dataclasses import replace
@@ -15,12 +19,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motion_diffusion as md
+from motion_diffusion import denoiser as dn
 
 K_STEPS = 3
 
 
 def _same(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _rows(model, p_obs, x_k, ks):
+    """One unsplit forward of the whole batch."""
+    return model.forward_batch(model.bind(None), p_obs, x_k, ks).data
+
+
+def _fits_one_group(cfg, n):
+    return n * cfg.l_pred * cfg.dim * cfg.model_dim * 8 <= dn.EVAL_GROUP_BYTES
 
 
 @given(variant=st.sampled_from(["series", "parallel"]),
@@ -42,26 +56,27 @@ def test_reproducibility_contract_at_small_shapes(variant, model_dim, n_heads, t
 
     # sample i does not depend on N
     m = min(m, n - 1)
+    assert _fits_one_group(cfg, n)
     obs = rng.normal(size=(t_obs, dim))
     many = md.sample_stochastic(model, obs, n, seed, sched).samples
     few = md.sample_stochastic(model, obs, m, seed, sched).samples
     assert _same(few, many[:m]), f"samples 0..{m - 1} differ between N={m} and N={n}"
 
-    # an eval_batch row does not depend on batch size, position or batch-mates
+    # a forward row does not depend on batch size, position or batch-mates
     obs_b = rng.normal(size=(n, t_obs, dim))
     x_b = rng.normal(size=(n, l_pred, dim))
     ks = rng.integers(1, K_STEPS + 1, size=n)
-    full = model.eval_batch(obs_b, x_b, ks)
+    full = _rows(model, obs_b, x_b, ks)
     for j in range(n):
-        alone = model.eval_batch(obs_b[j:j + 1], x_b[j:j + 1], ks[j:j + 1])
+        alone = _rows(model, obs_b[j:j + 1], x_b[j:j + 1], ks[j:j + 1])
         assert _same(alone[0], full[j]), f"item {j} alone differs from batch {n}"
     perm = rng.permutation(n)
-    assert _same(model.eval_batch(obs_b[perm], x_b[perm], ks[perm]), full[perm])
+    assert _same(_rows(model, obs_b[perm], x_b[perm], ks[perm]), full[perm])
     mates = (rng.normal(size=(m, t_obs, dim)), rng.normal(size=(m, l_pred, dim)),
              rng.integers(1, K_STEPS + 1, size=m))
-    mixed = model.eval_batch(np.concatenate([mates[0], obs_b[:1]]),
-                             np.concatenate([mates[1], x_b[:1]]),
-                             np.concatenate([mates[2], ks[:1]]))
+    mixed = _rows(model, np.concatenate([mates[0], obs_b[:1]]),
+                  np.concatenate([mates[1], x_b[:1]]),
+                  np.concatenate([mates[2], ks[:1]]))
     assert _same(mixed[-1], full[0]), "item 0 differs with other batch-mates"
 
     # a resume equals an uninterrupted run
@@ -97,6 +112,6 @@ def test_shared_observation_gives_the_bytes_of_its_repeats(variant, model_dim, n
     for m in (1, 2):
         p_obs = rng.normal(size=(m, t_obs, dim))
         ks = np.repeat(rng.integers(1, K_STEPS + 1, size=m), b // m)
-        shared = model.eval_batch(p_obs, x_k, ks)
-        repeated = model.eval_batch(np.repeat(p_obs, b // m, axis=0), x_k, ks)
+        shared = _rows(model, p_obs, x_k, ks)
+        repeated = _rows(model, np.repeat(p_obs, b // m, axis=0), x_k, ks)
         assert _same(shared, repeated), f"{m} observation(s) shared by {b} chains"
