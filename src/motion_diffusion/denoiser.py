@@ -37,15 +37,18 @@ the whole frame list, because the temporal keys and values of the
 observed frames are read from it; the parallel variant runs its spatial
 branch on the future frames alone.
 
-Inference runs in cache-sized groups.  `eval_batch` splits its B chains
-into consecutive calls whose (rows, model_dim) activation of future rows
-stays within `EVAL_GROUP_BYTES`, G chains per call: each observation's
-chains go in calls of at most G, with that observation alone, which is
-encoded once in each.  A chain's row depends neither on its batch nor on
-N, so the groups give the bytes of one whole-batch call.  Training's
-`forward_batch` stays one call over the whole batch: its weight
-gradients and bias column sums must see every row at once to keep their
-bits.
+Batches run in cache-sized groups (`_eval_groups`): consecutive calls
+whose (rows, model_dim) activation of future rows stays within
+`GROUP_BYTES`, G chains per call.  When an observation's r = B / M chains
+fit, a call holds G // r whole observations; otherwise each observation's
+chains go in calls of at most G, with that observation alone.  Either way
+each observation is encoded once per call.  A chain's row depends neither
+on its batch nor on N, so `eval_batch`'s groups give the bytes of one
+whole-batch call.  `training.train` runs each group on its own tape and
+sums the groups' gradients: every activation gradient keeps its bits, and
+only the sums over rows (weight, bias, norm, `in_w` and `step_emb`
+gradients) change association, by a few ulps.  A batch that fits one
+group keeps every bit.
 """
 
 from __future__ import annotations
@@ -64,14 +67,17 @@ STEP_EMB_STD = 0.02   # init scale of the step-embedding table
 OUT_HEAD_SCALE = 0.05 # shrink output heads so initial predictions sit near zero
 
 # The largest (rows, model_dim) float64 activation of future rows that one
-# inference call builds: 1.25 MiB, 8 chains (2,400 rows) at CLI defaults.
-# A whole N = 50 call there streams 7.8 MB per activation and 31 MB per
-# feedforward hidden from DRAM; a group's arrays stay near L2 size.  One
-# N = 50 task at CLI defaults, under the CLI's allocator settings, took
-# 4.9-5.2 s unsplit, 3.9-4.4 s at 2,400 rows per call, 4.2-4.7 s at 600
-# and 1,200 rows, and 4.5-5.9 s at 4,800 and 9,600 rows (Xeon with 2 MiB
-# of L2 per core, OpenBLAS at 1 thread).
-EVAL_GROUP_BYTES = 5 << 18
+# denoiser call builds, in inference and in training: 1.25 MiB, 8 chains
+# (2,400 rows) at CLI defaults.  A whole N = 50 call there streams 7.8 MB
+# per activation and 31 MB per feedforward hidden from DRAM; a group's
+# arrays stay near L2 size.  One N = 50 task at CLI defaults, under the
+# CLI's allocator settings, took 4.9-5.2 s unsplit, 3.9-4.4 s at 2,400 rows
+# per call, 4.2-4.7 s at 600 and 1,200 rows, and 4.5-5.9 s at 4,800 and
+# 9,600 rows.  A perfbench-shaped `train` call (2 steps of batch 64, one
+# process per G, no allocator settings) ran at 47-70 items/s at G = 2, 4,
+# 8 and 16 chains, 41-54 at G = 32 and 38-46 at G = 64, the whole batch
+# (Xeon with 2 MiB of L2 per core, OpenBLAS at 1 thread).
+GROUP_BYTES = 5 << 18
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class DenoiserModel:
             raise ConfigError(
                 f"parameter names do not match config (missing={missing}, extra={extra})")
         for name, arr in self.params.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
             if arr.shape != expected[name]:
                 raise DimensionError(
                     f"parameter {name}: shape {arr.shape} != expected {expected[name]}")
@@ -174,13 +180,24 @@ class DenoiserModel:
         return self.config.l_pred, self.config.dim
 
     def bind(self, tape: nm.Tape | None) -> dict[str, nm.Tensor]:
-        """Wrap parameters as tape leaves (trainable) or constants (inference)."""
+        """Wrap parameters as tape leaves (trainable) or constants (inference).
+
+        Constants wrap the arrays without a finiteness scan: `__post_init__`
+        checked them, and a value made non-finite later fails the first op
+        that reads it.
+        """
         if tape is None:
-            return {k: nm.constant(v) for k, v in self.params.items()}
+            return {k: nm.Tensor(v) for k, v in self.params.items()}
         return {k: tape.param(v) for k, v in self.params.items()}
 
     def forward_batch(self, leaves: dict[str, nm.Tensor], p_obs: np.ndarray,
                       x_k: np.ndarray, ks: np.ndarray) -> nm.Tensor:
+        """One call over the whole batch: (M, T, D), (B, L, D), (B,) -> (B, L, D).
+
+        It does not split the batch into groups; `training.train` runs it,
+        through `batch_noise_loss`, once per group of `_eval_groups`, each
+        on its own tape.
+        """
         return _forward(self.config, leaves, *_check_batch(self.config, p_obs, x_k, ks))
 
     def eval_batch(self, p_obs: np.ndarray, x_k: np.ndarray,
@@ -189,11 +206,11 @@ class DenoiserModel:
 
         p_obs is (M, T, D) for the (B, L, D) x_k, M dividing B (see `_forward`).
         The whole batch is checked first, then run as consecutive groups of
-        chains whose future-row activations fit `EVAL_GROUP_BYTES` (the
-        rule is `_eval_groups`), so the working set stays near cache size
-        and does not grow with B.  A chain's row does not depend on its
-        batch, so the concatenated outputs are the bytes of one whole-batch
-        call.  Training's `forward_batch` stays one call over its batch.
+        whole observations or of one observation's chains, whose future-row
+        activations fit `GROUP_BYTES` (the rule is `_eval_groups`), so the
+        working set stays near cache size and does not grow with B.  A
+        chain's row does not depend on its batch, so the concatenated
+        outputs are the bytes of one whole-batch call.
         """
         cfg = self.config
         p_obs, x_k, ks = _check_batch(cfg, p_obs, x_k, ks)
@@ -265,15 +282,21 @@ def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, rows=None
 
 
 def _eval_groups(cfg: DenoiserConfig, m: int, b: int):
-    """(observation slice, chain slice) of each inference call over M observations, B chains.
+    """(observation slice, chain slice) of each call over M observations, B chains.
 
     G chains fit one call: their (G * L * D, model_dim) float64 activation
-    stays within `EVAL_GROUP_BYTES`, or G = 1.  Each observation's
-    r = B / M chains go in calls of at most G, each with that observation
-    alone.
+    stays within `GROUP_BYTES`, or G = 1.  When an observation's r = B / M
+    chains fit (r <= G), each call holds G // r whole observations and the
+    last call the rest: at M = B, as in training, that is ceil(B / G)
+    calls.  Otherwise each observation's chains go in calls of at most G,
+    each with that observation alone.
     """
-    g = max(1, EVAL_GROUP_BYTES // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
+    g = max(1, GROUP_BYTES // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
     r = b // m
+    if r <= g:
+        q = g // r
+        return [(slice(i, min(i + q, m)), slice(i * r, min(i + q, m) * r))
+                for i in range(0, m, q)]
     return [(slice(i, i + 1), slice(i * r + j, i * r + min(j + g, r)))
             for i in range(m) for j in range(0, r, g)]
 

@@ -154,20 +154,23 @@ def reverse_step(x_k: np.ndarray, k: int, eps_hat: np.ndarray,
 
 def batch_noise_loss(model, tape: nm.Tape | None, p_obs: np.ndarray,
                      p_gt: np.ndarray, ks: np.ndarray, eps: np.ndarray,
-                     sched: NoiseSchedule):
+                     sched: NoiseSchedule, count: int | None = None):
     """Mean-squared noise-prediction loss over a batch.
 
     p_obs is (B, T, D), p_gt and eps are (B, L, D), ks is (B,) with each
     entry in 1..K.  Returns (loss_tensor, leaves); leaves is the name ->
     Tensor map for the model parameters on `tape` (constants if tape is
     None).  The loss is mean-reduced over every batch entry so the
-    learning-rate default transfers across pose dimensions.
+    learning-rate default transfers across pose dimensions.  A batch run
+    in groups passes its whole entry count as `count`: each group's loss
+    is then its share of the batch mean, and its gradients sum to the
+    batch's.
     """
     x_k = forward_noise(p_gt, ks, eps, sched)
     leaves = model.bind(tape)
     eps_hat = model.forward_batch(leaves, p_obs, x_k, ks)
     resid = nm.sub(nm.constant(eps), eps_hat)
-    return nm.mean_all(nm.mul(resid, resid)), leaves
+    return nm.mean_all(nm.mul(resid, resid), count), leaves
 
 
 # ---------------------------------------------------------------------------

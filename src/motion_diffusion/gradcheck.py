@@ -112,6 +112,8 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
         ("take_rows_2d", lambda x: nm.take_rows(x, idx2), (a,)),
         ("sum_all", nm.sum_all, (a,)),
         ("mean_all", nm.mean_all, (a,)),
+        # one part of a 30-entry batch, as a training step's groups are reduced
+        ("mean_all_part", lambda x: nm.mean_all(x, count=30), (a,)),
         # one row, as a batch-1 sample with L * D = 1 reaches the GEMMs
         ("linear_one_row", nm.linear,
          (rng.normal(size=(1, 4)), lw, rng.normal(size=(5,)))),

@@ -653,11 +653,16 @@ def sum_all(a) -> Tensor:
     return _emit("sum_all", out, [a], pull)
 
 
-def mean_all(a) -> Tensor:
+def mean_all(a, count: int | None = None) -> Tensor:
+    """The sum of every entry over `count`, by default the entry count.
+
+    A batch run in parts passes the whole batch's count, so each part's
+    gradient is exactly that of the whole batch's mean: 1/count per entry.
+    """
     a = _coerce(a)
-    out = np.asarray(a.data.mean())
+    n = a.data.size if count is None else count
+    out = np.asarray(a.data.sum() / n)   # the bits of a.data.mean() at count=None
     ash = a.data.shape
-    n = a.data.size
 
     def pull(g):
         return (np.broadcast_to(g / n, ash).copy(),)

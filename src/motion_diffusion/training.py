@@ -21,7 +21,8 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from . import numerics as nm
-from .denoiser import DenoiserConfig, DenoiserModel, init_denoiser, param_shapes
+from .denoiser import (DenoiserConfig, DenoiserModel, _eval_groups, init_denoiser,
+                       param_shapes)
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      TrainingDivergedError, check_count)
@@ -151,7 +152,14 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     """Run the noise-prediction training loop until tr_cfg.iterations.
 
     Every iteration draws batch indices, per-item steps k in 1..K and
-    fresh noise from the root stream, then applies one Adam update.
+    fresh noise from the root stream, then applies one Adam update.  The
+    batch runs as consecutive groups of chains (`denoiser._eval_groups`,
+    one observation per chain), each on its own tape: a group's loss is
+    its share of the batch mean, its backward runs at once and its tape
+    dies before the next group's forward, so the step's activations never
+    exceed one group's.  The gradients are summed in group order.  A batch
+    that fits one group gives the bits of one whole-batch step; more groups
+    change the parameter gradients' row sums by a few ulps.
     Every run resumes from a Checkpoint: `start`, or for a fresh run the
     `initial_checkpoint` of tr_cfg.seed and `normalizer` (the identity if
     omitted).  The continuation is bit identical to an uninterrupted run
@@ -190,19 +198,27 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
 
     last_good = start
     losses: list[float] = []
-    n = len(tasks)
+    n, b = len(tasks), tr_cfg.batch_size
+    groups = [chains for _, chains in _eval_groups(den_cfg, b, b)]
 
     for it in range(start.iteration + 1, tr_cfg.iterations + 1):
-        idx = rng.integers(0, n, size=tr_cfg.batch_size)
-        ks = rng.integers(1, sched.k_steps + 1, size=tr_cfg.batch_size)
-        eps = rng.standard_normal((tr_cfg.batch_size, den_cfg.l_pred, den_cfg.dim))
-        tape = nm.Tape()
-        loss_t, leaves = batch_noise_loss(model, tape, obs[idx], gt[idx], ks, eps, sched)
-        loss_val = float(loss_t.data)
-        if not np.isfinite(loss_val) or loss_val > DIVERGE_LIMIT:
-            raise TrainingDivergedError(
-                f"loss {loss_val} exceeded limits", it, checkpoint=last_good)
-        grads = tape.gradients(loss_t, leaves)
+        idx = rng.integers(0, n, size=b)
+        ks = rng.integers(1, sched.k_steps + 1, size=b)
+        eps = rng.standard_normal((b, den_cfg.l_pred, den_cfg.dim))
+        loss_val, grads = 0.0, None
+        for chains in groups:
+            tape = nm.Tape()
+            loss_t, leaves = batch_noise_loss(model, tape, obs[idx[chains]], gt[idx[chains]],
+                                              ks[chains], eps[chains], sched, eps.size)
+            # group losses are >= 0: a running total past the limit is a diverged step
+            loss_val += float(loss_t.data)
+            if not np.isfinite(loss_val) or loss_val > DIVERGE_LIMIT:
+                raise TrainingDivergedError(
+                    f"loss {loss_val} exceeded limits", it, checkpoint=last_good)
+            part = tape.gradients(loss_t, leaves)
+            grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
+            # the next group's forward must not run beside this group's tape
+            del tape, loss_t, leaves, part
         try:
             adam_step(model.params, grads, m, v, it, tr_cfg)
         except TrainingDivergedError as exc:
@@ -210,8 +226,6 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         losses.append(loss_val)
         if it % tr_cfg.checkpoint_every == 0:
             last_good = _snapshot(start, model, m, v, it, rng)
-        # the next step's forward must not run beside this step's tape
-        del tape, loss_t, leaves, grads
 
     final = _snapshot(start, model, m, v, tr_cfg.iterations, rng)
     return TrainResult(model=model, checkpoint=final, losses=losses)

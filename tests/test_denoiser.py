@@ -190,11 +190,22 @@ class TestModelContract:
             DenoiserModel(config=cfg, params=bad)
 
     def test_non_finite_after_mutation_fails_forward(self):
-        model = init_denoiser(toy_config("series"), seed=0)
-        obs, fut = toy_inputs(model.config)
-        model.params["in_w"][0] = np.inf
-        with pytest.raises(NumericsError):
-            eval_one(model, obs, fut, 1)
+        # inference wraps the parameters without scanning them, so the first
+        # op that reads a non-finite entry must fail, for every parameter of
+        # both variants; step_emb is read at row k only
+        k = 2
+        for variant in ("series", "parallel"):
+            cfg = toy_config(variant)
+            obs, fut = toy_inputs(cfg)
+            for name in param_shapes(cfg):
+                for bad in (np.inf, np.nan):
+                    model = init_denoiser(cfg, seed=0)
+                    if name == "step_emb":
+                        model.params[name][k] = bad
+                    else:
+                        model.params[name].flat[0] = bad
+                    with np.errstate(all="ignore"), pytest.raises(NumericsError):
+                        eval_one(model, obs, fut, k)
 
 
 class TestForward:
@@ -322,7 +333,7 @@ def chain_bytes(cfg):
 
 
 class TestEvalGroups:
-    """`eval_batch` runs `_forward` on groups of chains that fit `EVAL_GROUP_BYTES`."""
+    """`eval_batch` runs `_forward` on groups of chains that fit `GROUP_BYTES`."""
 
     @given(variant=st.sampled_from(["series", "parallel"]), n_heads=st.sampled_from([1, 2]),
            t_obs=st.integers(1, 3), l_pred=st.integers(1, 2), dim=st.integers(1, 3),
@@ -331,8 +342,10 @@ class TestEvalGroups:
     @settings(max_examples=40, deadline=None)
     def test_groups_give_the_bytes_of_one_call(self, variant, n_heads, t_obs, l_pred, dim,
                                                m, r, g, spare, seed):
-        # a budget of g chains and a remainder: each observation's chains
-        # in calls of at most g, with that observation alone
+        # a budget of g chains and a remainder: when an observation's r
+        # chains fit, each call holds g // r whole observations and the last
+        # call the rest; otherwise each observation's chains go in calls of
+        # at most g, with that observation alone
         cfg = DenoiserConfig(variant=variant, model_dim=8, n_heads=n_heads, t_obs=t_obs,
                              l_pred=l_pred, dim=dim, k_steps=3)
         model = init_denoiser(cfg, seed)
@@ -342,16 +355,32 @@ class TestEvalGroups:
         x_k = rng.normal(size=(b, l_pred, dim))
         ks = np.repeat(rng.integers(1, 4, size=m), r)
         budget = int((g + spare) * chain_bytes(cfg))
-        with mock.patch.object(dn, "EVAL_GROUP_BYTES", budget), \
+        with mock.patch.object(dn, "GROUP_BYTES", budget), \
                 mock.patch.object(dn, "_forward", wraps=dn._forward) as calls:
             got = model.eval_batch(p_obs, x_k, ks)
         want = model.forward_batch(model.bind(None), p_obs, x_k, ks).data
         assert got.tobytes() == want.tobytes()
         per_call = max(g, 1)
-        assert calls.call_count == m * -(-r // per_call)
-        for call in calls.call_args_list:
-            assert len(call.args[2]) == 1 and len(call.args[3]) <= per_call
+        if r <= per_call:
+            q = per_call // r
+            shapes = [(min(q, m - i), min(q, m - i) * r) for i in range(0, m, q)]
+        else:
+            shapes = [(1, min(per_call, r - j)) for _ in range(m) for j in range(0, r, per_call)]
+        assert [(len(c.args[2]), len(c.args[3])) for c in calls.call_args_list] == shapes
         assert model.eval_count == b
+
+    @pytest.mark.parametrize("b", [1, 7, 8, 9, 64, 65])
+    def test_one_observation_per_chain_fills_each_call(self, b):
+        # training's batches (M = B): ceil(B / G) calls of G consecutive
+        # chains, G = 8 at CLI defaults, and the rest in the last call
+        cfg = DenoiserConfig(variant="series", k_steps=20, **CLI_SHAPE)
+        g = dn.GROUP_BYTES // chain_bytes(cfg)
+        assert g == 8
+        groups = dn._eval_groups(cfg, b, b)
+        assert len(groups) == -(-b // g)
+        assert [obs for obs, _ in groups] == [chains for _, chains in groups]
+        assert [(s.start, s.stop) for _, s in groups] == [
+            (i, min(i + g, b)) for i in range(0, b, g)]
 
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_gemm_rows_stay_within_the_budget(self, variant, monkeypatch):
@@ -368,7 +397,7 @@ class TestEvalGroups:
         monkeypatch.setattr(nm, "_gemm", counting)
         obs = np.random.default_rng(0).normal(size=(cfg.t_obs, cfg.dim))
         sample_stochastic(model, obs, 50, 0, build_schedule(1, 0.01, 0.3))
-        budget_rows = dn.EVAL_GROUP_BYTES // (cfg.model_dim * 8)
+        budget_rows = dn.GROUP_BYTES // (cfg.model_dim * 8)
         assert max(rows) <= budget_rows + cfg.t_obs * cfg.dim
 
     def test_sampling_memory_does_not_grow_with_n(self):
@@ -395,9 +424,9 @@ class TestEvalGroups:
         obs, _ = toy_inputs(cfg)
         sched = build_schedule(3, 0.01, 0.3)
         counts = []
-        for budget in (dn.EVAL_GROUP_BYTES, 2 * chain_bytes(cfg)):
+        for budget in (dn.GROUP_BYTES, 2 * chain_bytes(cfg)):
             model = init_denoiser(cfg, seed=1)
-            monkeypatch.setattr(dn, "EVAL_GROUP_BYTES", budget)
+            monkeypatch.setattr(dn, "GROUP_BYTES", budget)
             monkeypatch.setattr(model, "eval_batch", mock.Mock(wraps=model.eval_batch))
             samples = sample_stochastic(model, obs, 7, 0, sched).samples
             counts.append((model.eval_count, model.eval_batch.call_count, samples.tobytes()))

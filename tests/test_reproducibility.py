@@ -9,10 +9,13 @@ product once took another BLAS path than the same row among others.
 
 `eval_batch` splits its chains into groups and relies on these properties
 to give the bytes of one call, so the rows here come from one whole-batch
-`forward_batch`, and the samplers' chains fit one group.
+`forward_batch`, and the samplers' chains fit one group.  Training sums
+its groups' gradients, so its runs are checked both with a batch that
+fits one group and with a budget that splits it.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -33,8 +36,28 @@ def _rows(model, p_obs, x_k, ks):
     return model.forward_batch(model.bind(None), p_obs, x_k, ks).data
 
 
+def _chain_bytes(cfg):
+    return cfg.l_pred * cfg.dim * cfg.model_dim * 8
+
+
 def _fits_one_group(cfg, n):
-    return n * cfg.l_pred * cfg.dim * cfg.model_dim * 8 <= dn.EVAL_GROUP_BYTES
+    return n * _chain_bytes(cfg) <= dn.GROUP_BYTES
+
+
+def _check_training_runs(tasks, cfg, tr, sched):
+    """The same seed gives the same bytes, and a resume equals an uninterrupted run."""
+    whole = md.train(tasks, cfg, tr, sched)
+    again = md.train(tasks, cfg, tr, sched)
+    first = md.train(tasks, cfg, replace(tr, iterations=1), sched)
+    rest = md.train(tasks, cfg, tr, sched, start=first.checkpoint)
+    hexes = [x.hex() for x in whole.losses]
+    assert [x.hex() for x in again.losses] == hexes
+    assert [x.hex() for x in first.losses + rest.losses] == hexes
+    for group in ("params", "adam_m", "adam_v"):
+        for name, arr in getattr(whole.checkpoint, group).items():
+            assert _same(getattr(again.checkpoint, group)[name], arr), (group, name)
+            assert _same(getattr(rest.checkpoint, group)[name], arr), (group, name)
+    assert rest.checkpoint.rng_state == whole.checkpoint.rng_state
 
 
 @given(variant=st.sampled_from(["series", "parallel"]),
@@ -79,19 +102,17 @@ def test_reproducibility_contract_at_small_shapes(variant, model_dim, n_heads, t
                   np.concatenate([mates[2], ks[:1]]))
     assert _same(mixed[-1], full[0]), "item 0 differs with other batch-mates"
 
-    # a resume equals an uninterrupted run
+    # same seed, same bytes, and a resume equals an uninterrupted run: with
+    # the batch in one group, then with m + 1 chains in groups of m // 2 + 1
     tasks = [md.PredictionTask(rng.normal(size=(t_obs, dim)), rng.normal(size=(l_pred, dim)))
              for _ in range(3)]
     tr = md.TrainConfig(batch_size=m, iterations=2, lr=1e-3, seed=seed,
                         checkpoint_every=1)
-    whole = md.train(tasks, cfg, tr, sched)
-    first = md.train(tasks, cfg, replace(tr, iterations=1), sched)
-    rest = md.train(tasks, cfg, tr, sched, start=first.checkpoint)
-    assert [x.hex() for x in first.losses + rest.losses] == [x.hex() for x in whole.losses]
-    for group in ("params", "adam_m", "adam_v"):
-        for name, arr in getattr(whole.checkpoint, group).items():
-            assert _same(getattr(rest.checkpoint, group)[name], arr), (group, name)
-    assert rest.checkpoint.rng_state == whole.checkpoint.rng_state
+    assert _fits_one_group(cfg, m)
+    _check_training_runs(tasks, cfg, tr, sched)
+    with mock.patch.object(dn, "GROUP_BYTES", (m // 2 + 1) * _chain_bytes(cfg)):
+        assert len(dn._eval_groups(cfg, m + 1, m + 1)) >= 2
+        _check_training_runs(tasks, cfg, replace(tr, batch_size=m + 1), sched)
 
 
 @given(variant=st.sampled_from(["series", "parallel"]),

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import motion_diffusion as md
+import motion_diffusion.numerics as nm
 import motion_diffusion.training as training
+from motion_diffusion import denoiser as dn
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      IntegrityError, TrainingDivergedError)
 from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
@@ -34,6 +36,11 @@ def toy_tasks(cfg, n=6, seed=0):
 
 def toy_sched(cfg):
     return md.build_schedule(cfg.k_steps, 0.02, 0.3)
+
+
+def chain_bytes(cfg):
+    """Bytes of one chain's (L * D, model_dim) float64 activation."""
+    return cfg.l_pred * cfg.dim * cfg.model_dim * 8
 
 
 def quick_train(variant="series", iterations=20, seed=3, **over):
@@ -290,19 +297,22 @@ class TestTrainLoop:
             md.train(toy_tasks(cfg), cfg, tr, md.build_schedule(7, 0.02, 0.3))
 
     def test_step_tape_dies_before_the_next_forward(self, monkeypatch):
-        # each record's pullback holds the step's activations: a tape alive
-        # through the next step doubles the resident activations
-        tapes = []
+        # each record's pullback holds its group's activations: a tape alive
+        # through the next group's forward doubles the resident activations;
+        # a batch of 8 runs one loss per step in one group, 3 in groups of 3
         true_loss = training.batch_noise_loss
+        for group, per_step in ((8, 1), (3, 3)):
+            tapes = []
 
-        def loss(model, tape, *args):
-            assert [t() for t in tapes] == [None] * len(tapes)
-            tapes.append(weakref.ref(tape))
-            return true_loss(model, tape, *args)
+            def loss(model, tape, *args):
+                assert [t() for t in tapes] == [None] * len(tapes)
+                tapes.append(weakref.ref(tape))
+                return true_loss(model, tape, *args)
 
-        monkeypatch.setattr(training, "batch_noise_loss", loss)
-        quick_train(iterations=3)
-        assert len(tapes) == 3
+            monkeypatch.setattr(dn, "GROUP_BYTES", group * chain_bytes(toy_den_cfg()))
+            monkeypatch.setattr(training, "batch_noise_loss", loss)
+            quick_train(iterations=3)
+            assert len(tapes) == 3 * per_step
 
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_peak_memory_does_not_grow_with_steps(self, variant):
@@ -323,12 +333,109 @@ class TestTrainLoop:
         one, two = traced_peak(1), traced_peak(2)
         assert two < 1.25 * one, (one, two)
 
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_peak_memory_does_not_grow_with_groups(self, variant, monkeypatch):
+        # a batch of 4 groups holds one group's activations at a time; run
+        # as one call, its traced peak was 3.0-3.1 times one group's
+        cfg = toy_den_cfg(variant)
+        tasks = toy_tasks(cfg)
+        monkeypatch.setattr(dn, "GROUP_BYTES", 8 * chain_bytes(cfg))
+        md.train(tasks, cfg, TrainConfig(batch_size=8, iterations=1, seed=0),
+                 toy_sched(cfg))                       # first-call allocations
+
+        def traced_peak(batch_size):
+            tr = TrainConfig(batch_size=batch_size, iterations=1, lr=1e-3, seed=0)
+            tracemalloc.start()
+            try:
+                md.train(tasks, cfg, tr, toy_sched(cfg))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, four = traced_peak(8), traced_peak(32)
+        assert four <= 1.5 * one, (one, four)
+
     def test_result_checkpoint_rebuilds_the_model(self):
         result, _, _, _ = quick_train(iterations=5)
         rebuilt = result.checkpoint.build_model()
         for name in result.model.params:
             np.testing.assert_array_equal(rebuilt.params[name],
                                           result.model.params[name])
+
+
+def step_draws(tasks, cfg, tr, sched):
+    """Each iteration's (p_obs, p_gt, ks, eps), drawn from the root stream as `train` does."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = initial_checkpoint(
+        cfg, sched, md.Normalizer.identity(cfg.dim), tr.seed).rng_state
+    obs = np.stack([t.p_obs for t in tasks])
+    gt = np.stack([t.p_gt for t in tasks])
+    for _ in range(tr.iterations):
+        idx = rng.integers(0, len(tasks), size=tr.batch_size)
+        ks = rng.integers(1, sched.k_steps + 1, size=tr.batch_size)
+        eps = rng.standard_normal((tr.batch_size, cfg.l_pred, cfg.dim))
+        yield obs[idx], gt[idx], ks, eps
+
+
+def whole_batch_step(params, cfg, batch, sched):
+    """(loss, gradients) of one `batch_noise_loss` over the whole batch, on one tape."""
+    tape = nm.Tape()
+    loss, leaves = md.batch_noise_loss(md.DenoiserModel(cfg, dict(params)), tape,
+                                       *batch, sched)
+    return float(loss.data), tape.gradients(loss, leaves)
+
+
+class TestGroupedSteps:
+    """`train` against a whole-batch oracle: one tape and one backward per step."""
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_one_group_gives_the_bytes_of_the_whole_batch(self, variant):
+        cfg = toy_den_cfg(variant)
+        tasks, sched = toy_tasks(cfg), toy_sched(cfg)
+        tr = TrainConfig(batch_size=8, iterations=3, lr=1e-3, seed=3)
+        assert len(dn._eval_groups(cfg, 8, 8)) == 1
+        got = md.train(tasks, cfg, tr, sched)
+
+        params = dict(initial_checkpoint(cfg, sched, md.Normalizer.identity(cfg.dim),
+                                         tr.seed).params)
+        m = {k: np.zeros_like(a) for k, a in params.items()}
+        v = {k: np.zeros_like(a) for k, a in params.items()}
+        losses = []
+        for it, batch in enumerate(step_draws(tasks, cfg, tr, sched), 1):
+            loss, grads = whole_batch_step(params, cfg, batch, sched)
+            adam_step(params, grads, m, v, it, tr)
+            losses.append(loss)
+        assert [x.hex() for x in got.losses] == [x.hex() for x in losses]
+        for group, want in (("params", params), ("adam_m", m), ("adam_v", v)):
+            for name, arr in want.items():
+                assert getattr(got.checkpoint, group)[name].tobytes() == arr.tobytes(), \
+                    (group, name)
+
+    @pytest.mark.parametrize("group, n_groups", [(4, 2), (3, 3)])
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_summed_groups_match_the_whole_batch(self, variant, group, n_groups,
+                                                 monkeypatch):
+        # only the sums over rows change association: each gradient stays
+        # within 1e-12 of its tensor's largest entry
+        cfg = toy_den_cfg(variant)
+        tasks, sched = toy_tasks(cfg), toy_sched(cfg)
+        tr = TrainConfig(batch_size=8, iterations=3, lr=1e-3, seed=3)
+        monkeypatch.setattr(dn, "GROUP_BYTES", group * chain_bytes(cfg))
+        assert len(dn._eval_groups(cfg, 8, 8)) == n_groups
+        seen = []
+
+        def capture(params, grads, m, v, t, cfg_):
+            seen.append(({k: a.copy() for k, a in params.items()}, grads))
+            adam_step(params, grads, m, v, t, cfg_)
+
+        monkeypatch.setattr(training, "adam_step", capture)
+        got = md.train(tasks, cfg, tr, sched)
+        for (params, grads), batch, loss in zip(seen, step_draws(tasks, cfg, tr, sched),
+                                                got.losses, strict=True):
+            want_loss, want = whole_batch_step(params, cfg, batch, sched)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            for name, g in want.items():
+                assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
 
 
 class TestCheckpointIO:
