@@ -409,7 +409,10 @@ def _has_fields(obj, fields: dict) -> bool:
 
 
 def _load_samples_manifest(path: str) -> tuple[dict, str]:
-    """Read a sample run's manifest; a malformed one is a ParseError."""
+    """Read a sample run's manifest; a malformed one is a ParseError.
+
+    It must list at least one task, and no task index twice.
+    """
     if os.path.isdir(path):
         path = os.path.join(path, "samples_manifest.json")
     manifest = read_json(path, "samples manifest")
@@ -421,8 +424,14 @@ def _load_samples_manifest(path: str) -> tuple[dict, str]:
                          f"{sorted(SAMPLES_MANIFEST_KEYS)} and task entries with "
                          f"{sorted(SAMPLES_TASK_KEYS)}", offset=0)
     check_frame_rate(manifest.get("fps"), f"{path}: samples manifest fps", ParseError)
+    if not manifest["tasks"]:
+        raise ParseError(f"{path}: samples manifest lists no tasks", offset=0)
+    seen = set()
     for entry in manifest["tasks"]:
-        check_count(entry.get("index"), 0, f"{path}: task index", ParseError)
+        index = check_count(entry.get("index"), 0, f"{path}: task index", ParseError)
+        if index in seen:
+            raise ParseError(f"{path}: task index {index} appears twice", offset=0)
+        seen.add(index)
     return manifest, os.path.dirname(os.path.abspath(path))
 
 
@@ -438,6 +447,11 @@ def cmd_eval(cfg: dict) -> int:
         if det_manifest["representation"] == "euler":  # euler MSE reads euler angles
             det_by_index = {e["index"]: os.path.join(det_base, e["dir"], e["files"][0])
                             for e in det_manifest["tasks"]}
+            # every row gets the same euler columns, or none does
+            for entry in manifest["tasks"]:
+                if entry["index"] not in det_by_index:
+                    raise ConfigError(f"`det` run has no task {entry['index']} of the "
+                                      f"`samples` run")
     horizons = _parse_horizons(cfg["horizons"])
 
     rows = []

@@ -87,18 +87,6 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
          (rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2)))),
         ("linear", nm.linear, (lx, lw, rng.normal(size=(5,)))),
         ("linear", nm.linear, (lx, lw)),
-        # two heads of width 2 over 3 tokens, two leading batch axes as in
-        # the spatial layer
-        ("attention", lambda q, k, v: nm.attention(q, k, v, 2),
-         tuple(rng.normal(size=(2, 2, 3, 4)) for _ in range(3))),
-        # two queries over three keys, as the temporal layer's future rows
-        ("attention_cross", lambda q, k, v: nm.attention(q, k, v, 2),
-         (rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 3, 4)),
-          rng.normal(size=(2, 3, 4)))),
-        # the temporal layer's layout: tokens on axis -3, two queries over three keys
-        ("attention_axis3", lambda q, k, v: nm.attention(q, k, v, 2, axis=-3),
-         (rng.normal(size=(2, 2, 3, 4)), rng.normal(size=(2, 3, 3, 4)),
-          rng.normal(size=(2, 3, 3, 4)))),
         ("relu", nm.relu, (a + 0.05,)),  # nudge off the kink where FD is invalid
         ("softmax_rows", nm.softmax_rows, (a,)),
         ("layer_norm", nm.layer_norm,
@@ -138,6 +126,9 @@ def _op_cases(rng: np.random.Generator) -> list[tuple]:
         # one row, as a batch-1 sample with L * D = 1 reaches the GEMMs
         ("attention_block_one_row", lambda x, *p: nm.attention_block(x, *p, 2, -2),
          (rng.normal(size=(1, 1, 4)), *_pre_norm_params(rng, 4, *attn))),
+        # two leading batch axes, as the parallel variant's spatial rows (B, L, D, C)
+        ("attention_block", lambda x, *p: nm.attention_block(x, *p, 2, -2),
+         (rng.normal(size=(2, 2, 3, 4)), *_pre_norm_params(rng, 4, *attn))),
     ]
 
 

@@ -16,12 +16,15 @@ so a consumed tape can still be counted.
 Inference never touches a tape: wrap inputs with `constant` and the ops
 skip recording.
 
-`linear` and `attention` each fuse one GEMM-shaped step.  `attention_block`
-and `feedforward` fuse the two pre-norm blocks of an encoder layer, so a
-layer is two tape records.  They run the operations of the public ops they
-replace (`layer_norm`, `linear`, `take_rows`, `attention`, `relu`, `add`)
-in the same order, through the same private cores (`_normalize`, `_gemm`,
-`_attend`) and backward kernels, so they give the same bytes.  Their
+`linear` fuses one GEMM-shaped step.  `attention_block` and `feedforward`
+fuse the two pre-norm blocks of an encoder layer, so a layer is two tape
+records; `attention_block` is the only taped attention.  Each piece of
+algebra has one implementation.  The blocks run the operations of the
+public ops they replace (`layer_norm`, `linear`, `take_rows`, `relu`,
+`add`) in the same order, through the same private cores (`_normalize`,
+`_gemm`, `_attend`) and backward kernels, so they give the same bytes.
+`matmul`, `linear` and the blocks share one pair of matrix-product
+gradient kernels, `_matmul_backward_a` and `_matmul_backward_b`.  Their
 pullbacks keep only what those ops' records keep: the norm's y and inv,
 the normed rows, the query rows, q, k, v and the probabilities, the
 context, and the ReLU output.  They write in place only into arrays they
@@ -36,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericsError
+from .errors import ContractError, DimensionError, NumericsError, check_count
 
 LAYER_NORM_EPS = 1e-5
 
@@ -248,14 +251,13 @@ def _normalize(x, gain, bias):
     return out, y, inv
 
 
-def _check_attention_shapes(shape, kshape, vshape, n_heads, axis):
-    """DimensionError unless q, k, v of these shapes can attend over `axis`."""
-    if (not -len(shape) < axis < -1 or len(kshape) != len(shape) or vshape != kshape
+def _check_attention_shapes(shape, kshape, n_heads, axis):
+    """DimensionError unless queries of `shape` can attend over keys of `kshape` on `axis`."""
+    if (not -len(shape) < axis < -1 or len(kshape) != len(shape)
             or shape[:axis] + shape[axis + 1:] != kshape[:axis] + kshape[axis + 1:]):
         raise DimensionError(
             f"attention needs q and k, v that differ only on token axis {axis}, which "
-            f"lies after the first axis and before the channels; got "
-            f"{shape}, {kshape} and {vshape}")
+            f"lies after the first axis and before the channels; got {shape} and {kshape}")
     if n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"{shape[-1]} channels do not split into {n_heads} heads")
 
@@ -263,8 +265,14 @@ def _check_attention_shapes(shape, kshape, vshape, n_heads, axis):
 def _attend(qd, kd, vd, n_heads, axis, name):
     """Scores, softmax and context of multi-head attention: (out, p, factor).
 
-    The scores are finite-checked, in the name of op `name`; p is the
-    (..., H, Sq, S) softmax the pullback keeps.
+    Scaled dot-product attention of Sq queries over S keys.  The tokens lie
+    on `axis` (-2, -3, ...) and the channels on the last axis; every other
+    axis is a batch axis.  Head h attends with channel slice h of width
+    hd = C / n_heads: softmax(q_h k_h^T / sqrt(hd)) v_h, bidirectional (no
+    mask).  Heads are strided views, never copies, and each head's context
+    is written straight into the output.  The scores are finite-checked,
+    in the name of op `name`; p is the (..., H, Sq, S) softmax the pullback
+    keeps.
     """
     factor = 1.0 / np.sqrt(qd.shape[-1] // n_heads)
     heads = partial(_heads, n_heads=n_heads, axis=axis)
@@ -314,16 +322,8 @@ def _softmax_backward(g, y):
     return gy
 
 
-def _linear_backward_x(g2, w):
-    return g2 @ w.T
-
-
-def _linear_backward_w(g2, x2):
-    return x2.T @ g2
-
-
 def _attention_backward(g, q, k, v, p, n_heads, factor, axis):
-    """Gradients of `attention` wrt q (Sq tokens) and k, v (S tokens) on `axis`.
+    """Gradients of `_attend` wrt q (Sq tokens) and k, v (S tokens) on `axis`.
 
     `p` holds the forward's softmax probabilities, (..., H, Sq, S); every
     head-gradient product writes straight into its buffer, which has the
@@ -387,8 +387,8 @@ def _column_sums(g):
 def _linear_pullback(g, x2, w):
     """(dL/dx, dL/dw) of x2 @ w, dL/dx with the leading axes of g."""
     g2 = g.reshape(-1, w.shape[1])
-    return (_linear_backward_x(g2, w).reshape(*g.shape[:-1], w.shape[0]),
-            _linear_backward_w(g2, x2))
+    return (_matmul_backward_a(g2, w).reshape(*g.shape[:-1], w.shape[0]),
+            _matmul_backward_b(g2, x2))
 
 
 def _layer_norm_pullback(g, gain, y, inv):
@@ -435,14 +435,8 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a, s: float) -> Tensor:
-    a = _coerce(a)
-    s = float(s)
-    out = a.data * s
-
-    def pull(g):
-        return (g * s,)
-
-    return _emit("scale", out, [a], pull)
+    """a * s for a scalar s: `mul` by the constant s."""
+    return mul(a, float(s))
 
 
 def matmul(a, b) -> Tensor:
@@ -498,29 +492,6 @@ def linear(x, w, b=None) -> Tensor:
     return _emit("linear", out.reshape(*x.data.shape[:-1], n), inputs, pull)
 
 
-def attention(q, k, v, n_heads: int, axis: int = -2) -> Tensor:
-    """Multi-head scaled dot-product attention of Sq queries over S keys.
-
-    The tokens lie on `axis` (-2, -3, ...) and the channels on the last
-    axis; every other axis is a batch axis, at least one of them before
-    `axis`.  q holds Sq tokens and k, v hold S, all other extents equal;
-    the output has the shape of q.  Head h attends with channel slice h
-    of width hd = C / n_heads: softmax(q_h k_h^T / sqrt(hd)) v_h,
-    bidirectional (no mask).  Heads are strided views of the inputs, never
-    copies, and each head's context is written straight into the output.
-    The pullback reuses the kept probabilities.
-    """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    _check_attention_shapes(q.data.shape, k.data.shape, v.data.shape, n_heads, axis)
-    qd, kd, vd = q.data, k.data, v.data
-    out, p, factor = _attend(qd, kd, vd, n_heads, axis, "attention")
-
-    def pull(g):
-        return _attention_backward(g, qd, kd, vd, p, n_heads, factor, axis)
-
-    return _emit("attention", out, [q, k, v], pull)
-
-
 def relu(a) -> Tensor:
     """max(a, 0).  The pullback keeps the output, which the next op holds
     anyway, not the input: x > 0 exactly where max(x, 0) > 0."""
@@ -557,9 +528,7 @@ def layer_norm(a, gain, bias) -> Tensor:
     """
     a, gain, bias = _coerce(a), _coerce(gain), _coerce(bias)
     n = a.data.shape[-1]
-    if gain.data.shape != (n,) or bias.data.shape != (n,):
-        raise DimensionError(
-            f"gain/bias must have shape ({n},), got {gain.data.shape} and {bias.data.shape}")
+    _check_shapes("layer_norm", [("gain", gain, (n,)), ("bias", bias, (n,))])
     out, y, inv = _normalize(a.data, gain.data, bias.data)
     gdata = gain.data
 
@@ -643,14 +612,8 @@ def take_rows(a, indices) -> Tensor:
 
 
 def sum_all(a) -> Tensor:
-    a = _coerce(a)
-    out = np.asarray(a.data.sum())
-    ash = a.data.shape
-
-    def pull(g):
-        return (np.broadcast_to(g, ash).copy(),)
-
-    return _emit("sum_all", out, [a], pull)
+    """The sum of every entry: `mean_all` over a count of 1."""
+    return mean_all(a, 1)
 
 
 def mean_all(a, count: int | None = None) -> Tensor:
@@ -658,9 +621,11 @@ def mean_all(a, count: int | None = None) -> Tensor:
 
     A batch run in parts passes the whole batch's count, so each part's
     gradient is exactly that of the whole batch's mean: 1/count per entry.
+    A count that is not a positive integer is a ContractError.
     """
     a = _coerce(a)
-    n = a.data.size if count is None else count
+    n = a.data.size if count is None else check_count(
+        count, 1, "mean_all count", ContractError)
     out = np.asarray(a.data.sum() / n)   # the bits of a.data.mean() at count=None
     ash = a.data.shape
 
@@ -680,14 +645,15 @@ def attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads: int,
     """Pre-norm multi-head attention with its residual: x + attention(q, k, v) @ wo + bo.
 
     h = layer_norm(x, ln1_g, ln1_b), k = h @ wk, v = h @ wv + bv, and
-    q = h @ wq + bq, over the tokens on `axis` as in `attention`.  Without
+    q = h @ wq + bq; attention runs `_attend` over the tokens on `axis`,
+    which lies after a first batch axis and before the channels.  Without
     `rows`, every token is a query, a key and a value.  With `rows`, a pair
     of index arrays (keys, queries) into axis 0 of x: k and v are gathered
     by keys, h and the residual x by queries, as `take_rows` would, and
     the output has the query rows' shape.
 
     It runs the operations of that composition of `layer_norm`, `linear`,
-    `take_rows`, `attention` and `add` in their order, so its output and
+    `take_rows`, attention and `add` in their order, so its output and
     gradients have their bytes.  Bias adds and the residual are written
     into the GEMM outputs, which only this op holds.  The pullback keeps
     the norm's y and inv, the normed rows h, the query rows of h, q, k, v,
@@ -711,7 +677,7 @@ def attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads: int,
     else:
         keys, queries = (_row_index(r, xd.shape[0]) for r in rows)
         qshape, kshape = queries.shape + xd.shape[1:], keys.shape + xd.shape[1:]
-    _check_attention_shapes(qshape, kshape, kshape, n_heads, axis)
+    _check_attention_shapes(qshape, kshape, n_heads, axis)
 
     hn, y, inv = _normalize(xd, gain.data, beta.data)
     hn2 = hn.reshape(-1, c)

@@ -632,10 +632,13 @@ class TestEvalCmd:
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=False)),
         lambda path: rewrite_json(path, lambda m: m["tasks"][0].update(index=-1)),
         lambda path: path.write_text(f'{{"n": {LONG_INT}}}'),
+        lambda path: rewrite_json(path, lambda m: m.update(tasks=[])),
+        lambda path: rewrite_json(path, lambda m: m["tasks"].append(dict(m["tasks"][0]))),
     ], ids=["truncated", "not-utf8", "not-object", "no-mode", "no-tasks",
             "tasks-not-list", "task-no-files", "task-empty-files",
             "task-dir-not-string", "no-fps", "fps-true", "fps-string", "task-no-gt",
-            "task-index-false", "task-index-negative", "integer-past-digit-limit"])
+            "task-index-false", "task-index-negative", "integer-past-digit-limit",
+            "tasks-empty", "task-index-repeated"])
     @pytest.mark.parametrize("role", ["samples", "det"])
     def test_malformed_samples_manifest_exits_2(self, tmp_path, edit, role):
         rng = np.random.default_rng(5)
@@ -646,6 +649,20 @@ class TestEvalCmd:
         assert main(["eval", "--out", str(tmp_path / "e"),
                      "--samples", str(tmp_path / "s"),
                      "--det", str(tmp_path / "d")]) == 2
+        assert not (tmp_path / "e").exists()
+
+    def test_det_run_missing_a_task_exits_2(self, tmp_path, capsys):
+        # the euler columns of task 1 would have no deterministic prediction
+        rng = np.random.default_rng(7)
+        gts = [rng.normal(size=(5, 6)) for _ in range(3)]
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0] for gt in gts], gts)
+        build_sample_run(tmp_path / "d", [[gts[0]], [gts[2]]], [gts[0], gts[2]],
+                         mode="deterministic")
+        rewrite_json(tmp_path / "d" / "samples_manifest.json",
+                     lambda m: m["tasks"][1].update(index=2))
+        assert main(["eval", "--out", str(tmp_path / "e"), "--samples",
+                     str(tmp_path / "s"), "--det", str(tmp_path / "d")]) == 2
+        assert "no task 1 " in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("representation, horizons, columns", [
@@ -710,7 +727,7 @@ class TestGradcheckCmd:
         assert "PASS" in text and "FAIL" not in text
         assert "matmul" in text and "layer_norm" in text
         assert "linear" in text and "attention" in text
-        assert "attention_cross" in text and "attention_axis3" in text
+        assert "attention_block_rows" in text and "attention_block_one_row" in text
         assert "series" in text and "parallel" in text
         assert "PASS" in capsys.readouterr().out
 

@@ -2,7 +2,10 @@
 determinism, and the error contract."""
 
 import gc
+import importlib.util
 import inspect
+import os
+import re
 import weakref
 
 import numpy as np
@@ -98,7 +101,12 @@ def composed_linear(x, w, b=None):
     return y if b is None else nm.add(y, b)
 
 
-def composed_attention(q, k, v, n_heads):
+def composed_attention(q, k, v, n_heads, axis=-2):
+    # tokens on axis -3 of a 4-D input are moved to axis -2 and back
+    if axis == -3:
+        swap = (0, 2, 1, 3)
+        moved = [nm.transpose(t, swap) for t in (q, k, v)]
+        return nm.transpose(composed_attention(*moved, n_heads), swap)
     # the leading axes are folded into one batch axis M
     *lead, sq, c = q.data.shape
     m = int(np.prod(lead))
@@ -127,7 +135,7 @@ ORACLE_S, ORACLE_L, ORACLE_D, ORACLE_C = 9, 5, 6, 8
 
 
 class TestFusedOpsMatchComposition:
-    """`linear` and `attention` against the primitive ops they replace."""
+    """`linear` and `attention_block` against the primitive ops they replace."""
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_linear(self, rng, n):
@@ -160,40 +168,39 @@ class TestFusedOpsMatchComposition:
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("layer", ["spatial", "temporal"])
     def test_attention(self, rng, n, layer):
-        # the (B, S, D, C) features with the D pose parameters as tokens
-        # (spatial, axis -2) or the S frames (temporal, axis -3)
-        shape = (n, ORACLE_S, ORACLE_D, ORACLE_C)
-        arrays = {name: rng.normal(size=shape) for name in "qkv"}
-        weight = rng.normal(size=shape)
-        self.check_against_oracle(arrays, weight, -2 if layer == "spatial" else -3)
+        # every token of the (B, S, D, C) features attends: the D pose
+        # parameters (spatial, axis -2) or the S frames (temporal, axis -3)
+        arrays = block_arrays(rng, (n, ORACLE_S, ORACLE_D, ORACLE_C), ATTENTION_BLOCK_PARAMS)
+        self.check_against_oracle(arrays, -2 if layer == "spatial" else -3, None, rng)
 
     @pytest.mark.parametrize("n", [1, 50])
     def test_attention_future_queries(self, rng, n):
-        # the temporal layer: the L future frames query all S frames
-        arrays = {"q": rng.normal(size=(n, ORACLE_L, ORACLE_D, ORACLE_C)),
-                  "k": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C)),
-                  "v": rng.normal(size=(n, ORACLE_S, ORACLE_D, ORACLE_C))}
-        weight = rng.normal(size=(n, ORACLE_L, ORACLE_D, ORACLE_C))
-        fused = self.check_against_oracle(arrays, weight, -3)
+        # the temporal layer on one task's frame list, its T observed frames
+        # then each chain's L future frames: a chain's L frames query the T
+        # frames and its own L
+        t = ORACLE_S - ORACLE_L
+        future = t + np.arange(n)[:, None] * ORACLE_L + np.arange(ORACLE_L)
+        keys = np.concatenate([np.broadcast_to(np.arange(t), (n, t)), future], axis=1)
+        arrays = block_arrays(rng, (t + n * ORACLE_L, ORACLE_D, ORACLE_C),
+                              ATTENTION_BLOCK_PARAMS)
+        fused = self.check_against_oracle(arrays, -3, (keys, future), rng)
         assert fused[0].shape == (n, ORACLE_L, ORACLE_D, ORACLE_C)
         for name in arrays:
             assert fused[1][name].shape == arrays[name].shape, name
 
     @staticmethod
-    def check_against_oracle(arrays, weight, axis):
-        """Values and gradients of `attention` over 4-D inputs within 1e-12.
+    def check_against_oracle(arrays, axis, rows, rng):
+        """Values and gradients of `attention_block` within 1e-12 of its
+        composition with the primitive-op `composed_attention`."""
+        def call(op, **kw):
+            return lambda t: op(t["x"], *(t[n] for n in ATTENTION_BLOCK_PARAMS), 2, axis,
+                                rows, **kw)
 
-        The oracle runs on the inputs with their tokens moved to axis -2.
-        """
-        swap = (0, 2, 1, 3) if axis == -3 else (0, 1, 2, 3)
-
-        def oracle(t):
-            moved = [nm.transpose(t[name], swap) for name in "qkv"]
-            return nm.transpose(composed_attention(*moved, 2), swap)
-
-        fused = value_and_grads(
-            lambda t: nm.attention(t["q"], t["k"], t["v"], 2, axis=axis), arrays, weight)
-        composed = value_and_grads(oracle, arrays, weight)
+        fused_op = call(nm.attention_block)
+        weight = rng.normal(size=fused_op({k: nm.constant(v) for k, v in arrays.items()}).shape)
+        fused = value_and_grads(fused_op, arrays, weight)
+        composed = value_and_grads(call(composed_attention_block, attend=composed_attention),
+                                   arrays, weight)
         np.testing.assert_allclose(fused[0], composed[0], rtol=1e-12, atol=1e-12)
         for name in arrays:
             np.testing.assert_allclose(fused[1][name], composed[1][name],
@@ -201,12 +208,18 @@ class TestFusedOpsMatchComposition:
         return fused
 
     def test_one_head_is_plain_softmax_attention(self, rng):
-        q, k, v = (rng.normal(size=(1, 4, 3)) for _ in range(3))
-        scores = q[0] @ k[0].T / np.sqrt(3)
+        # identity projections, zero biases and unit gain leave the normed
+        # rows h as q, k and v, so the block adds softmax(h h^T / sqrt(C)) h
+        x = rng.normal(size=(1, 4, 3))
+        eye, zero = np.eye(3), np.zeros(3)
+        out = nm.attention_block(x, np.ones(3), zero, eye, zero, eye, eye, zero, eye, zero,
+                                 1, -2).data
+        h = (x[0] - x[0].mean(axis=-1, keepdims=True)) / np.sqrt(
+            x[0].var(axis=-1, keepdims=True) + nm.LAYER_NORM_EPS)
+        scores = h @ h.T / np.sqrt(3)
         p = np.exp(scores - scores.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
-        out = nm.attention(nm.constant(q), nm.constant(k), nm.constant(v), 1).data
-        np.testing.assert_allclose(out[0], p @ v[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out[0] - x[0], p @ h, rtol=1e-12, atol=1e-15)
 
     def test_linear_shape_errors(self):
         with pytest.raises(DimensionError):
@@ -214,39 +227,45 @@ class TestFusedOpsMatchComposition:
         with pytest.raises(DimensionError):
             nm.linear(np.ones((2, 4)), np.ones((4, 5)), np.ones(4))
 
-    def test_attention_shape_errors(self):
+    def test_attention_shape_errors(self, rng):
+        # the block derives q from its query rows and k, v from its key rows,
+        # so q and k differ only as `rows` makes them; v always has k's shape
+        arrays = block_arrays(rng, (2, 3, 4), ATTENTION_BLOCK_PARAMS)
+        x, params = arrays["x"], [arrays[n] for n in ATTENTION_BLOCK_PARAMS]
         with pytest.raises(DimensionError):
-            nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 4, 4)), 2)
-        with pytest.raises(DimensionError):
-            nm.attention(np.ones((2, 3, 4)), np.ones((2, 3, 4)), np.ones((2, 3, 4)), 3)
-        for q_shape, k_shape, v_shape in [
-                ((3, 2, 4), (2, 5, 4), (2, 5, 4)),   # q and k differ in M
-                ((2, 2, 6), (2, 5, 4), (2, 5, 4)),   # q and k differ in C
-                ((2, 2, 4), (2, 5, 4), (2, 4, 4)),   # k and v differ in S
-                ((2, 2, 4), (2, 5, 4), (3, 5, 4)),   # k and v differ in M
-                ((2, 2, 4), (2, 5, 4), (2, 5, 2)),   # k and v differ in C
-                ((2, 3, 2, 4), (2, 4, 5, 4), (2, 4, 5, 4)),  # leading axes differ
-                ((3, 2, 4), (1, 3, 5, 4), (1, 3, 5, 4)),     # ranks differ
-                ((2, 4), (2, 5, 4), (2, 5, 4)),      # q has fewer than 3 axes
-                ((2, 4), (5, 4), (5, 4))]:           # no batch axis at all
+            nm.attention_block(x, *params, 3, -2)
+        for axis in (-1, -3):  # tokens on the channel axis; no batch axis before the tokens
             with pytest.raises(DimensionError):
-                nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(v_shape), 2)
+                nm.attention_block(x, *params, 2, axis)
+        # q and k differ in M: 2 query rows of 1 frame, 1 key row of 2 frames
+        with pytest.raises(DimensionError):
+            nm.attention_block(x, *params, 2, -3, rows=([[0, 1]], [[0], [1]]))
         for q_shape, k_shape, axis in [
+                ((3, 2, 4), (2, 5, 4), -2),             # q and k differ in M
+                ((2, 2, 6), (2, 5, 4), -2),             # q and k differ in C
+                ((2, 3, 2, 4), (2, 4, 5, 4), -2),       # leading axes differ
+                ((3, 2, 4), (1, 3, 5, 4), -2),          # ranks differ
+                ((2, 4), (2, 5, 4), -2),                # q has fewer than 3 axes
+                ((2, 4), (5, 4), -2),                   # no batch axis at all
                 ((2, 3, 4), (2, 3, 4), -1),             # tokens on the channel axis
                 ((3, 2, 4), (5, 2, 4), -3),             # no batch axis before the tokens
                 ((2, 2, 3, 4), (2, 3, 5, 4), -3)]:      # q and k differ on a batch axis
             with pytest.raises(DimensionError):
-                nm.attention(np.ones(q_shape), np.ones(k_shape), np.ones(k_shape), 2,
-                             axis=axis)
+                nm._check_attention_shapes(q_shape, k_shape, 2, axis)
+        nm._check_attention_shapes((2, 2, 3, 4), (2, 5, 3, 4), 2, -3)
 
-    def test_attention_non_finite_score_rejected(self):
-        big = np.full((1, 2, 2), 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NumericsError):
-            nm.attention(big, big, big, 1)
+
+def taped_attention(q, k, v, n_heads, axis):
+    """The block's attention as one tape record: `_attend`, pulled back by
+    `_attention_backward`."""
+    qd, kd, vd = q.data, k.data, v.data
+    out, p, factor = nm._attend(qd, kd, vd, n_heads, axis, "attention")
+    return nm._emit("attention", out, [q, k, v], lambda g: nm._attention_backward(
+        g, qd, kd, vd, p, n_heads, factor, axis))
 
 
 def composed_attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads, axis,
-                             rows=None):
+                             rows=None, attend=taped_attention):
     h = nm.layer_norm(x, ln1_g, ln1_b)
     k = nm.linear(h, wk)
     v = nm.linear(h, wv, bv)
@@ -255,7 +274,7 @@ def composed_attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_head
         k, v = nm.take_rows(k, keys), nm.take_rows(v, keys)
         h, x = nm.take_rows(h, queries), nm.take_rows(x, queries)
     q = nm.linear(h, wq, bq)
-    return nm.add(x, nm.linear(nm.attention(q, k, v, n_heads, axis), wo, bo))
+    return nm.add(x, nm.linear(attend(q, k, v, n_heads, axis), wo, bo))
 
 
 def composed_feedforward(x, ln2_g, ln2_b, ff1_w, ff1_b, ff2_w, ff2_b):
@@ -491,8 +510,6 @@ PROTOCOL_CASES = {
     "layer_norm": (lambda t: nm.layer_norm(t["a"], t["g"], t["b"]),
                    {"a": (3, 4), "g": (4,), "b": (4,)}),
     "concat": (lambda t: nm.concat([t["a"], t["b"]], axis=-1), {"a": (3, 2), "b": (3, 4)}),
-    "attention": (lambda t: nm.attention(t["q"], t["k"], t["v"], 2, axis=-3),
-                  {"q": (2, 2, 3, 4), "k": (2, 3, 3, 4), "v": (2, 3, 3, 4)}),
     "attention_block": (
         lambda t: nm.attention_block(t["x"], *(t[n] for n in ATTENTION_BLOCK_PARAMS), 2, -3,
                                      rows=([[0, 1, 2], [0, 1, 3]], [[2], [3]])),
@@ -536,15 +553,61 @@ def test_backward_returns_exactly_the_reached_leaves(rng):
     assert set(by_id) == {a.node_id, b.node_id}
 
 
+TAPE_OPS = sorted(name for name, fn in vars(nm).items()
+                  if inspect.isfunction(fn) and not name.startswith("_") and name != "constant"
+                  and fn.__module__ == nm.__name__
+                  and fn.__annotations__.get("return") == "Tensor")
+
+
 def test_every_tensor_op_has_a_finite_difference_entry():
     # every op the module exports gets a check_ops entry named after it
-    ops = [name for name, fn in vars(nm).items()
-           if inspect.isfunction(fn) and not name.startswith("_") and name != "constant"
-           and fn.__module__ == nm.__name__ and fn.__annotations__.get("return") == "Tensor"]
     keys = check_ops(seed=0, points=1)
-    assert len(ops) >= 17
-    for op in ops:
+    assert TAPE_OPS == sorted([
+        "add", "sub", "mul", "scale", "matmul", "linear", "relu", "softmax_rows",
+        "layer_norm", "reshape", "transpose", "concat", "narrow", "take_rows", "sum_all",
+        "mean_all", "attention_block", "feedforward"])
+    for op in TAPE_OPS:
         assert any(key == op or key.startswith(op + "_") for key in keys), op
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tracer_ops():
+    """The op names perfbench's tracer wraps, read from perfbench/tracer.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(REPO, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return set(tracer.REPORTED_OPS + tracer.OTHER_OPS)
+
+
+# tape ops the program never calls, each with why it stays: they can go
+# only together with the tracer's op lists (ROADMAP items 3 and 8)
+KEPT_FOR_THE_TRACER = {
+    "matmul": "the tracer's numerics.matmul_s and _calls metrics",
+    "scale": "the tracer's numerics.scale_s and _calls metrics",
+    "softmax_rows": "the tracer's numerics.softmax_rows_s and _calls metrics",
+    "transpose": "the tracer's numerics.transpose_s and _calls metrics",
+    "relu": "the tracer's numerics.relu_s and _calls metrics",
+    "layer_norm": "the tracer's numerics.layer_norm_s and _calls metrics",
+    "narrow": "the tracer wraps it for its per-forward call and byte totals",
+    "sum_all": "the tracer wraps it for its per-forward call and byte totals",
+}
+
+
+def test_every_tape_op_is_called_by_the_program_or_the_tracer():
+    # a public op that neither the program nor perfbench's tracer calls is
+    # dead code; gradcheck only checks the ops, so it does not count
+    src = os.path.dirname(nm.__file__)
+    called = set()
+    for name in os.listdir(src):
+        if name.endswith(".py") and name not in ("numerics.py", "gradcheck.py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                called.update(re.findall(r"\bnm\.(\w+)\(", fh.read()))
+    unused = set(TAPE_OPS) - called
+    assert unused <= _tracer_ops(), sorted(unused - _tracer_ops())
+    assert unused == set(KEPT_FOR_THE_TRACER)
 
 
 def test_every_op_matches_finite_differences():
@@ -561,8 +624,10 @@ BACKWARD_KERNELS = sorted(name for name, fn in vars(nm).items()
 
 
 def test_backward_kernels_are_found():
-    assert len(BACKWARD_KERNELS) >= 8
-    assert "_layer_norm_backward_x" in BACKWARD_KERNELS
+    assert BACKWARD_KERNELS == sorted([
+        "_matmul_backward_a", "_matmul_backward_b", "_softmax_backward",
+        "_attention_backward", "_relu_backward", "_take_rows_backward",
+        "_layer_norm_backward_x"])
 
 
 @pytest.mark.parametrize("kernel", BACKWARD_KERNELS)
@@ -582,8 +647,8 @@ def test_corrupted_backward_kernel_detected(monkeypatch, kernel):
 
 
 def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
-    # negative control for the entries with fewer queries than keys: a 1%
-    # error in gk alone
+    # negative control for the entry with fewer queries than keys, on axis
+    # -3: a 1% error in gk alone
     true_kernel = nm._attention_backward
 
     def corrupted(*args):
@@ -592,8 +657,7 @@ def test_cross_attention_entry_detects_a_corrupted_key_gradient(monkeypatch):
 
     monkeypatch.setattr(nm, "_attention_backward", corrupted)
     errors = check_ops(seed=0, points=1)
-    assert errors["attention_cross"] > 1e-4
-    assert errors["attention_axis3"] > 1e-4
+    assert errors["attention_block_rows"] > 1e-4
     assert errors["linear"] < 1e-4
 
 
@@ -650,6 +714,12 @@ def test_non_finite_op_output_rejected():
     big = nm.constant(np.array([[1e308, 1e308]]))
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         nm.add(big, big)
+
+
+@pytest.mark.parametrize("count", [0, -3, True, 2.5])
+def test_mean_all_rejects_a_count_that_is_not_positive(count):
+    with pytest.raises(ContractError, match="mean_all count"):
+        nm.mean_all(np.ones(3), count)
 
 
 def test_tensor_shape_contract():
