@@ -1,9 +1,9 @@
 """Pose-sequence data model: synthetic motion, windowing, normalization, file I/O.
 
 A motion sequence is an F x D matrix of pose vectors (D = 3n for n
-joints), tagged with its frame rate and representation.  The on-disk
-container is the MSEQ1 format: one JSON header line followed by the
-frames as little-endian float64, row-major.
+joints), tagged with its frame rate and representation.  On disk it is an MSEQ1
+file: one JSON header line, then the frames as little-endian float64,
+row-major.  `read_header_file` reads that container for CKPT1 too.
 """
 
 from __future__ import annotations
@@ -246,21 +246,7 @@ def save_motion_file(path: str, seq: MotionSequence) -> None:
 
 def load_motion_file(path: str) -> MotionSequence:
     """Read an MSEQ1 file; a malformed file raises ParseError with the byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise ParseError("missing header line terminator", offset=len(blob))
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int's digit limit
-        pos = getattr(exc, "pos", 0)
-        raise ParseError(f"malformed header: {exc}", offset=pos) from exc
-    if not isinstance(header, dict):
-        raise ParseError("header is not a JSON object", offset=0)
-    version = header.get("version")
-    if type(version) is not int or version != MSEQ_VERSION:  # never True or 1.0
-        raise ParseError(f"unsupported header version {version!r}", offset=0)
+    header, payload, start = read_header_file(path, "motion file header", MSEQ_VERSION)
     n_frames = check_count(header.get("F"), 1, "header F", ParseError)
     dim = check_count(header.get("D"), 3, "header D", ParseError)
     if dim % 3 != 0:
@@ -275,17 +261,14 @@ def load_motion_file(path: str) -> MotionSequence:
     if label is not None and not isinstance(label, str):
         raise ParseError("label must be a string or null", offset=0)
 
-    payload = blob[newline + 1:]
     expected = n_frames * dim * 8
     if len(payload) != expected:
-        raise ParseError(
-            f"payload has {len(payload)} bytes, expected {expected}",
-            offset=newline + 1 + len(payload))
+        raise ParseError(f"payload has {len(payload)} bytes, expected {expected}",
+                         offset=start + len(payload))
     flat = np.frombuffer(payload, dtype="<f8")
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
-        raise ParseError("non-finite value in payload",
-                         offset=newline + 1 + int(bad[0]) * 8)
+        raise ParseError("non-finite value in payload", offset=start + int(bad[0]) * 8)
     frames = flat.astype(np.float64).reshape(n_frames, dim)
     return MotionSequence(frames, fps, representation, label)
 
@@ -297,25 +280,51 @@ def save_manifest(path: str, file_paths: list[str]) -> None:
         fh.write("\n")
 
 
-def read_json(path, what: str):
-    """Parse a JSON file; invalid UTF-8 or JSON, an integer of more digits
-    than `int` converts included, is a ParseError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_json(raw: bytes, what: str):
+    """Decode UTF-8 JSON bytes; any failure is a ParseError naming `what`, at
+    the failing byte where the decoder reports one and else at offset 0."""
     try:
-        return json.loads(blob.decode("utf-8"))
+        text = raw.decode("utf-8")
+        return json.loads(text)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} is not valid UTF-8", offset=exc.start) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    except json.JSONDecodeError as exc:  # exc.pos counts characters, not bytes
+        raise ParseError(f"{what} is not valid JSON: {exc.msg}",
+                         offset=len(text[:exc.pos].encode("utf-8"))) from exc
     except ValueError as exc:  # an integer past int's digit limit
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} nests deeper than the JSON parser's limit") from exc
+
+
+def read_header_file(path, what: str, version: int) -> tuple[dict, bytes, int]:
+    """Read the container of MSEQ1 and CKPT1 files: a JSON object line whose
+    `version` is the int `version` (never True or 1.0), then the payload.
+    Returns (header, payload, payload offset); else a ParseError naming `what`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise ParseError(f"{what} has no line terminator", offset=len(blob))
+    header = _parse_json(blob[:newline], what)
+    if not isinstance(header, dict):
+        raise ParseError(f"{what} is not a JSON object", offset=0)
+    found = header.get("version")
+    if type(found) is not int or found != version:
+        raise ParseError(f"unsupported {what} version {found!r}", offset=0)
+    return header, blob[newline + 1:], newline + 1
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; any malformed content is `_parse_json`'s ParseError."""
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), what)
 
 
 def load_manifest(path: str) -> list[str]:
-    entries = read_json(path, "manifest")
+    entries = read_json(path, "dataset manifest")
     if not isinstance(entries, list) or not all(isinstance(p, str) for p in entries):
-        raise ParseError("manifest must be a JSON list of file paths", offset=0)
+        raise ParseError("dataset manifest must be a JSON list of file paths", offset=0)
     base = os.path.dirname(os.path.abspath(path))
     return [p if os.path.isabs(p) else os.path.join(base, p) for p in entries]
 

@@ -5,10 +5,10 @@ per-item diffusion step k, the per-item noise draw), so a fixed seed
 reproduces the loss trajectory bit for bit, and a checkpoint reload
 continues it bit for bit.
 
-Checkpoint files use the CKPT1 layout: a single JSON manifest line
-(version, configs, iteration, RNG state, tensor index with per-tensor
-name/shape/offset/CRC32) followed by the concatenated little-endian
-float64 tensor payload.
+Checkpoint files use CKPT1, the container of MSEQ1 motion files, read by
+`motion_data.read_header_file`: one JSON manifest line (version, configs,
+iteration, RNG state, tensor index with per-tensor name/shape/offset/CRC32),
+then the concatenated little-endian float64 tensor payload.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .denoiser import (DenoiserConfig, DenoiserModel, _eval_groups, init_denoise
                        param_shapes)
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
-                     TrainingDivergedError, check_count)
-from .motion_data import Normalizer, PredictionTask
+                     ParseError, TrainingDivergedError, check_count)
+from .motion_data import Normalizer, PredictionTask, read_header_file
 
 CKPT_VERSION = 1
 DIVERGE_LIMIT = 1e6
@@ -286,21 +286,12 @@ def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a CKPT1 file; any malformed manifest or payload is an IntegrityError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise IntegrityError("checkpoint has no manifest line")
+    """Read a CKPT1 file; any malformed manifest or payload, a manifest line that
+    `read_header_file` rejects included, is an IntegrityError."""
     try:
-        manifest = json.loads(blob[:nl].decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or JSON, or an integer past int's digit limit
-        raise IntegrityError(f"checkpoint manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IntegrityError("checkpoint manifest is not a JSON object")
-    version = manifest.get("version")
-    if type(version) is not int or version != CKPT_VERSION:  # never True or 1.0
-        raise IntegrityError(f"unsupported checkpoint version {version!r}")
+        manifest, payload, _ = read_header_file(path, "checkpoint manifest", CKPT_VERSION)
+    except ParseError as exc:
+        raise IntegrityError(str(exc)) from exc
     try:
         den_cfg = DenoiserConfig(**manifest["denoiser_config"])
         sched_k = manifest["schedule"]["k_steps"]
@@ -319,7 +310,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from exc
     if not isinstance(entries, list):
         raise IntegrityError("checkpoint tensor index is not a list")
-    payload = blob[nl + 1:]
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset, crc in map(_tensor_entry, entries):
         size = math.prod(shape) * 8

@@ -896,6 +896,52 @@ class TestExportCmd:
         assert not (tmp_path / "o").exists()
 
 
+# a JSON line nested deeper than the parser's recursion limit
+DEEP_NESTING = b"[" * 100_000
+
+
+def _nested_mseq(tmp_path, dataset, checkpoint):
+    bad = tmp_path / "motion.mseq"
+    bad.write_bytes(DEEP_NESTING + b"\n" + bytes(2 * 3 * 8))
+    return ["export", "--input", str(bad)]
+
+
+def _nested_checkpoint(tmp_path, dataset, checkpoint):
+    blob = open(checkpoint, "rb").read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(DEEP_NESTING + blob[blob.index(b"\n"):])
+    return ["sample", "--checkpoint", str(bad), "--data", dataset, *WINDOW_ARGS]
+
+
+def _nested_dataset_manifest(tmp_path, dataset, checkpoint):
+    bad = tmp_path / "manifest.json"
+    bad.write_bytes(DEEP_NESTING + b"\n")
+    return ["train", "--data", str(bad), "--iterations", "1", *TRAIN_ARGS]
+
+
+def _nested_samples_manifest(tmp_path, dataset, checkpoint):
+    gt = np.random.default_rng(9).normal(size=(5, 6))
+    build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+    (tmp_path / "s" / "samples_manifest.json").write_bytes(DEEP_NESTING + b"\n")
+    return ["eval", "--samples", str(tmp_path / "s")]
+
+
+@pytest.mark.parametrize("damage, kind, code", [
+    (_nested_mseq, "motion file header", 2),
+    (_nested_checkpoint, "checkpoint manifest", 1),
+    (_nested_dataset_manifest, "dataset manifest", 2),
+    (_nested_samples_manifest, "samples manifest", 2),
+], ids=["export-mseq", "sample-checkpoint", "train-dataset", "eval-samples"])
+def test_json_nested_past_the_parser_limit_exits_cleanly(tmp_path, dataset, checkpoint,
+                                                         capsys, damage, kind, code):
+    # json.loads raises RecursionError for it, which is no ValueError
+    argv = damage(tmp_path, dataset, checkpoint)
+    assert main(argv + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and kind in err and "nests deeper" in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSmokeBudget:
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_200_iteration_smoke_run(self, tmp_path, dataset, variant):

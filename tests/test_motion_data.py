@@ -224,6 +224,26 @@ class TestMotionFileIO:
         with pytest.raises(ParseError, match="fps"):
             mdata.load_motion_file(path)
 
+    @pytest.mark.parametrize("label", ["walk", "café"], ids=["ascii", "non-ascii"])
+    def test_invalid_utf8_in_header_reports_its_offset(self, tmp_path, label):
+        head = json.dumps({"label": label, "version": 1, "F": 1, "D": 3, "fps": 25.0,
+                           "repr": "euler"}, ensure_ascii=False).encode()
+        k = head.index(b'"fps"')
+        path = tmp_path / "bad.mseq"
+        path.write_bytes(head[:k] + b"\xff" + head[k:] + b"\n" + b"\x00" * 24)
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            mdata.load_motion_file(path)
+        assert err.value.offset == k
+
+    def test_json_error_offset_counts_bytes(self, tmp_path):
+        # the decoder reports a character position; a 2-byte character before it
+        head = b'{"label": "caf\xc3\xa9", "version": 1, }'
+        path = tmp_path / "bad.mseq"
+        path.write_bytes(head + b"\n")
+        with pytest.raises(ParseError, match="JSON") as err:
+            mdata.load_motion_file(path)
+        assert err.value.offset == head.index(b"}")
+
     def test_version_mismatch(self, tmp_path):
         header = {"version": 9, "F": 1, "D": 3, "fps": 25.0,
                   "repr": "euler", "label": None}
