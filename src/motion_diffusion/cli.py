@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import ctypes.util
-import json
 import os
 import sys
 import time
@@ -33,9 +32,9 @@ from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      check_frame_rate)
 from .gradcheck import run_suite
 from .metrics import SampleSet, compute_report, write_report_csv
-from .motion_data import (MotionSequence, fit_normalizer, load_dataset, load_motion_file,
-                          read_json, save_manifest, save_motion_file, split_sequences,
-                          synth_dataset, window_split)
+from .motion_data import (MotionSequence, fit_normalizer, json_parts, load_dataset,
+                          load_motion_file, read_json, save_manifest, save_motion_file,
+                          split_sequences, synth_dataset, window_split, write_file)
 from .training import (TrainConfig, check_start, initial_checkpoint, load_checkpoint,
                        save_checkpoint, train)
 
@@ -212,29 +211,22 @@ def _parse_horizons(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def make_run_dir(base: str, command: str) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    for suffix in range(100):
-        name = f"{command}-{stamp}" + (f"-{suffix}" if suffix else "")
-        path = os.path.join(base, name)
+def open_run(command: str, cfg: dict) -> str:
+    """Make a fresh run directory under out, write run_manifest.json, print its path."""
+    base = os.path.join(cfg["out"], f"{command}-{time.strftime('%Y%m%d-%H%M%S')}")
+    for run_dir in [base, *(f"{base}-{suffix}" for suffix in range(1, 100))]:
         try:
-            os.makedirs(path)
-            return path
+            os.makedirs(run_dir)
+            break
         except FileExistsError:
-            continue
-    raise ConfigError(f"could not allocate a fresh run directory under {base!r}")
-
-
-def write_run_manifest(run_dir: str, command: str, resolved: dict) -> None:
-    manifest = {
-        "command": command,
-        "config": dict(resolved),
-        "seed": resolved.get("seed"),
-        "build": BUILD_ID,
-    }
-    with open(os.path.join(run_dir, "run_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            pass
+    else:
+        raise ConfigError(f"could not allocate a fresh run directory under {cfg['out']!r}")
+    write_file(os.path.join(run_dir, "run_manifest.json"), json_parts(
+        {"command": command, "config": dict(cfg), "seed": cfg.get("seed"),
+         "build": BUILD_ID}, indent=2, sort_keys=True))
+    print(f"run directory: {run_dir}")
+    return run_dir
 
 
 def _dataset_tasks(cfg: dict, dim: int | None = None):
@@ -273,15 +265,13 @@ def cmd_synth(cfg: dict) -> int:
         n_joints=cfg["n_joints"], n_sequences=cfg["n_sequences"],
         frames_per_sequence=cfg["frames"], fps=cfg["fps"], action_mix=mix,
         seed=cfg["seed"], representation=cfg["representation"])
-    run_dir = make_run_dir(cfg["out"], "synth")
-    write_run_manifest(run_dir, "synth", cfg)
+    run_dir = open_run("synth", cfg)
     names = []
     for i, seq in enumerate(seqs):
         name = f"seq_{i:03d}.mseq"
         save_motion_file(os.path.join(run_dir, name), seq)
         names.append(name)
     save_manifest(os.path.join(run_dir, "manifest.json"), names)
-    print(f"run directory: {run_dir}")
     print(f"wrote {len(names)} sequences and manifest.json")
     return 0
 
@@ -309,10 +299,8 @@ def cmd_train(cfg: dict) -> int:
     norm_tasks = [start.normalizer.apply_task(t) for t in train_tasks]
     check_start(start, den_cfg, tr_cfg, sched)
 
-    run_dir = make_run_dir(cfg["out"], "train")
-    write_run_manifest(run_dir, "train", cfg)
+    run_dir = open_run("train", cfg)
     ckpt_path = os.path.join(run_dir, "checkpoint.ckpt")
-    print(f"run directory: {run_dir}")
     try:
         result = train(norm_tasks, den_cfg, tr_cfg, sched, start=start)
     except TrainingDivergedError as exc:
@@ -321,11 +309,10 @@ def cmd_train(cfg: dict) -> int:
               file=sys.stderr)
         raise
     save_checkpoint(result.checkpoint, ckpt_path)
-    with open(os.path.join(run_dir, "loss_log.csv"), "w") as fh:
-        fh.write("iteration,loss\n")
-        for it, val in enumerate(result.losses, start=start.iteration + 1):
-            if it == 1 or it % LOG_EVERY == 0 or it == tr_cfg.iterations:
-                fh.write(f"{it},{val!r}\n")
+    logged = enumerate(result.losses, start=start.iteration + 1)
+    write_file(os.path.join(run_dir, "loss_log.csv"), [b"iteration,loss\n", *(
+        f"{it},{val!r}\n".encode("ascii") for it, val in logged
+        if it == 1 or it % LOG_EVERY == 0 or it == tr_cfg.iterations)])
     print(f"final loss: {result.losses[-1]:.6f}" if result.losses
           else "no iterations run")
     print("wrote checkpoint.ckpt and loss_log.csv")
@@ -359,9 +346,7 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError("no tasks to sample for the requested split")
 
     model = ckpt.build_model()
-    run_dir = make_run_dir(cfg["out"], "sample")
-    write_run_manifest(run_dir, "sample", cfg)
-    print(f"run directory: {run_dir}")
+    run_dir = open_run("sample", cfg)
 
     def write_seq(path, frames):
         save_motion_file(path, MotionSequence(
@@ -389,12 +374,10 @@ def cmd_sample(cfg: dict) -> int:
             entry["files"].append(name)
         index.append(entry)
 
-    with open(os.path.join(run_dir, "samples_manifest.json"), "w") as fh:
-        json.dump({"mode": cfg["mode"], "n": cfg["n"], "seed": cfg["seed"],
-                   "fps": meta["fps"], "representation": meta["representation"],
-                   "l_pred": den_cfg.l_pred, "dim": den_cfg.dim, "tasks": index},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(os.path.join(run_dir, "samples_manifest.json"), json_parts(
+        {"mode": cfg["mode"], "n": cfg["n"], "seed": cfg["seed"], "fps": meta["fps"],
+         "representation": meta["representation"], "l_pred": den_cfg.l_pred,
+         "dim": den_cfg.dim, "tasks": index}, indent=2, sort_keys=True))
     print(f"wrote samples for {len(tasks)} task(s)")
     return 0
 
@@ -444,14 +427,19 @@ def cmd_eval(cfg: dict) -> int:
         det_manifest, det_base = _load_samples_manifest(cfg["det"])
         if det_manifest["mode"] != "deterministic":
             raise ConfigError("`det` must point at a deterministic sample run")
-        if det_manifest["representation"] == "euler":  # euler MSE reads euler angles
-            det_by_index = {e["index"]: os.path.join(det_base, e["dir"], e["files"][0])
-                            for e in det_manifest["tasks"]}
-            # every row gets the same euler columns, or none does
-            for entry in manifest["tasks"]:
-                if entry["index"] not in det_by_index:
-                    raise ConfigError(f"`det` run has no task {entry['index']} of the "
-                                      f"`samples` run")
+        # both runs must predict every task from the same motion: same
+        # representation and fps here, same ground-truth frames below
+        for key in ("representation", "fps"):
+            if det_manifest[key] != manifest[key]:
+                raise ConfigError(f"`det` run has {key} {det_manifest[key]!r}, the "
+                                  f"`samples` run {manifest[key]!r}")
+        det_by_index = {e["index"]: [os.path.join(det_base, e["dir"], name)
+                                     for name in (e["gt"], e["files"][0])]
+                        for e in det_manifest["tasks"]}
+        for entry in manifest["tasks"]:
+            if entry["index"] not in det_by_index:
+                raise ConfigError(f"`det` run has no task {entry['index']} of the "
+                                  f"`samples` run")
     horizons = _parse_horizons(cfg["horizons"])
 
     rows = []
@@ -466,28 +454,29 @@ def cmd_eval(cfg: dict) -> int:
                              fps=manifest["fps"])
         except (DimensionError, ContractError, ValueError) as exc:
             raise ContractError(f"task {idx}: {exc}") from exc
-        det_pred = (load_motion_file(det_by_index[idx]).frames
-                    if idx in det_by_index else None)
+        det_pred = None
+        if cfg["det"]:
+            det_gt, det_pred = (load_motion_file(p).frames for p in det_by_index[idx])
+            if not np.array_equal(det_gt, gt):
+                raise ConfigError(f"`det` task {idx} has other ground truth than the "
+                                  f"`samples` run")
+        if manifest["representation"] != "euler":  # euler MSE reads euler angles
+            det_pred = None
         report = compute_report(sset, deterministic_pred=det_pred, horizons_ms=horizons)
         rows.append((f"task_{idx:03d}", report))
 
-    run_dir = make_run_dir(cfg["out"], "eval")
-    write_run_manifest(run_dir, "eval", cfg)
-    csv_path = os.path.join(run_dir, "metrics.csv")
-    write_report_csv(rows, csv_path)
-    print(f"run directory: {run_dir}")
+    run_dir = open_run("eval", cfg)
+    write_report_csv(rows, os.path.join(run_dir, "metrics.csv"))
     print(f"wrote metrics.csv with {len(rows)} task row(s) plus aggregate")
     return 0
 
 
 def cmd_gradcheck(cfg: dict) -> int:
     report = run_suite(seed=cfg["seed"], n_probes=cfg["probes"])
-    run_dir = make_run_dir(cfg["out"], "gradcheck")
-    write_run_manifest(run_dir, "gradcheck", cfg)
+    run_dir = open_run("gradcheck", cfg)
     lines = report.lines()
-    with open(os.path.join(run_dir, "gradcheck.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"run directory: {run_dir}")
+    write_file(os.path.join(run_dir, "gradcheck.txt"),
+               (line.encode("utf-8") + b"\n" for line in lines))
     for line in lines:
         print(line)
     return 0 if report.passed else 1
@@ -495,15 +484,13 @@ def cmd_gradcheck(cfg: dict) -> int:
 
 def cmd_export(cfg: dict) -> int:
     seq = load_motion_file(cfg["input"])
-    run_dir = make_run_dir(cfg["out"], "export")
-    write_run_manifest(run_dir, "export", cfg)
+    run_dir = open_run("export", cfg)
     stem = os.path.splitext(os.path.basename(cfg["input"]))[0]
     csv_path = os.path.join(run_dir, f"{stem}.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("frame," + ",".join(f"d{j}" for j in range(seq.dim)) + "\n")
-        for i, row in enumerate(seq.frames):
-            fh.write(str(i) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-    print(f"run directory: {run_dir}")
+    write_file(csv_path, [
+        ("frame," + ",".join(f"d{j}" for j in range(seq.dim)) + "\n").encode("ascii"),
+        *(f"{i},{','.join(map(repr, row.tolist()))}\n".encode("ascii")
+          for i, row in enumerate(seq.frames))])
     print(f"wrote {os.path.basename(csv_path)} ({seq.n_frames} frames)")
     return 0
 

@@ -13,12 +13,12 @@ per-sample quantities; angle differences wrap to (-pi, pi].
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, UndefinedMetricError, check_frame_rate
+from .motion_data import write_file
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +151,9 @@ def write_report_csv(rows: list[tuple[str, MetricsReport]], path) -> None:
     """One CSV row per task plus a final mean row; fixed column order.
 
     Every report must carry the same euler horizon set so columns line
-    up; the aggregate row averages each column over tasks.
+    up; the aggregate row averages each column over tasks.  Lines end in
+    CRLF, as the csv module ends them; fields go unquoted, so a label
+    holds no comma, quote or line break.
     """
     if not rows:
         raise ContractError("report needs at least one task row")
@@ -160,15 +162,8 @@ def write_report_csv(rows: list[tuple[str, MetricsReport]], path) -> None:
         if sorted(rep.euler_mse_by_horizon) != horizons:
             raise ContractError("all report rows must share the same euler horizons")
     header = ["task", *METRIC_COLUMNS, *[f"euler_mse_{ms}ms" for ms in horizons]]
-    table = []
-    for label, rep in rows:
-        vals = [getattr(rep, c) for c in METRIC_COLUMNS]
-        vals += [rep.euler_mse_by_horizon[ms] for ms in horizons]
-        table.append((label, vals))
-    means = np.mean(np.array([v for _, v in table]), axis=0)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for label, vals in table:
-            w.writerow([label, *[f"{v:.12g}" for v in vals]])
-        w.writerow(["mean", *[f"{v:.12g}" for v in means]])
+    table = [(label, [getattr(rep, c) for c in METRIC_COLUMNS]
+              + [rep.euler_mse_by_horizon[ms] for ms in horizons]) for label, rep in rows]
+    table.append(("mean", np.mean(np.array([v for _, v in table]), axis=0)))
+    lines = [header, *([label, *(f"{v:.12g}" for v in vals)] for label, vals in table)]
+    write_file(path, (",".join(fields).encode("utf-8") + b"\r\n" for fields in lines))

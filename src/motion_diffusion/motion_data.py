@@ -3,7 +3,8 @@
 A motion sequence is an F x D matrix of pose vectors (D = 3n for n
 joints), tagged with its frame rate and representation.  On disk it is an MSEQ1
 file: one JSON header line, then the frames as little-endian float64,
-row-major.  `read_header_file` reads that container for CKPT1 too.
+row-major.  `read_header_file` reads that container for CKPT1 too, and
+`write_file` writes every file the program writes.
 """
 
 from __future__ import annotations
@@ -239,45 +240,55 @@ def save_motion_file(path: str, seq: MotionSequence) -> None:
         "repr": seq.representation,
         "label": seq.action_label,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(seq.frames, dtype="<f8").tobytes())
+    write_file(path, (json.dumps(header).encode("ascii") + b"\n",
+                      np.ascontiguousarray(seq.frames, dtype="<f8").tobytes()))
 
 
 def load_motion_file(path: str) -> MotionSequence:
-    """Read an MSEQ1 file; a malformed file raises ParseError with the byte offset."""
+    """Read an MSEQ1 file; a malformed file raises ParseError naming it, with the offset."""
     header, payload, start = read_header_file(path, "motion file header", MSEQ_VERSION)
-    n_frames = check_count(header.get("F"), 1, "header F", ParseError)
-    dim = check_count(header.get("D"), 3, "header D", ParseError)
+    n_frames = check_count(header.get("F"), 1, f"{path}: header F", ParseError)
+    dim = check_count(header.get("D"), 3, f"{path}: header D", ParseError)
     if dim % 3 != 0:
-        raise ParseError(f"header D={dim} is not a multiple of 3", offset=0)
-    fps = check_frame_rate(header.get("fps"), "header fps", ParseError)
+        raise ParseError(f"{path}: header D={dim} is not a multiple of 3", offset=0)
+    fps = check_frame_rate(header.get("fps"), f"{path}: header fps", ParseError)
     try:
         representation, label = header["repr"], header["label"]
     except KeyError as exc:
-        raise ParseError(f"missing header field {exc}", offset=0) from exc
+        raise ParseError(f"{path}: missing header field {exc}", offset=0) from exc
     if representation not in REPRESENTATIONS:
-        raise ParseError(f"unknown representation {representation!r}", offset=0)
+        raise ParseError(f"{path}: unknown representation {representation!r}", offset=0)
     if label is not None and not isinstance(label, str):
-        raise ParseError("label must be a string or null", offset=0)
+        raise ParseError(f"{path}: label must be a string or null", offset=0)
 
     expected = n_frames * dim * 8
     if len(payload) != expected:
-        raise ParseError(f"payload has {len(payload)} bytes, expected {expected}",
+        raise ParseError(f"{path}: payload has {len(payload)} bytes, expected {expected}",
                          offset=start + len(payload))
     flat = np.frombuffer(payload, dtype="<f8")
     bad = np.flatnonzero(~np.isfinite(flat))
     if bad.size:
-        raise ParseError("non-finite value in payload", offset=start + int(bad[0]) * 8)
+        raise ParseError(f"{path}: non-finite value in payload",
+                         offset=start + int(bad[0]) * 8)
     frames = flat.astype(np.float64).reshape(n_frames, dim)
     return MotionSequence(frames, fps, representation, label)
 
 
 def save_manifest(path: str, file_paths: list[str]) -> None:
     """Write a dataset manifest: a JSON list of motion file paths."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(list(file_paths), fh, indent=0)
-        fh.write("\n")
+    write_file(path, json_parts(list(file_paths), indent=0))
+
+
+def write_file(path, parts) -> None:
+    """Write an iterable of byte chunks to `path`: every file the program writes."""
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
+
+
+def json_parts(obj, **fmt):
+    """`obj` as JSON and a newline, encoded chunk by chunk as `json.dump` writes it."""
+    yield from (chunk.encode("utf-8") for chunk in json.JSONEncoder(**fmt).iterencode(obj))
+    yield b"\n"
 
 
 def _parse_json(raw: bytes, what: str):
@@ -300,31 +311,32 @@ def _parse_json(raw: bytes, what: str):
 def read_header_file(path, what: str, version: int) -> tuple[dict, bytes, int]:
     """Read the container of MSEQ1 and CKPT1 files: a JSON object line whose
     `version` is the int `version` (never True or 1.0), then the payload.
-    Returns (header, payload, payload offset); else a ParseError naming `what`."""
+    Returns (header, payload, payload offset); else a ParseError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    named = f"{path}: {what}"
     newline = blob.find(b"\n")
     if newline < 0:
-        raise ParseError(f"{what} has no line terminator", offset=len(blob))
-    header = _parse_json(blob[:newline], what)
+        raise ParseError(f"{named} has no line terminator", offset=len(blob))
+    header = _parse_json(blob[:newline], named)
     if not isinstance(header, dict):
-        raise ParseError(f"{what} is not a JSON object", offset=0)
+        raise ParseError(f"{named} is not a JSON object", offset=0)
     found = header.get("version")
     if type(found) is not int or found != version:
-        raise ParseError(f"unsupported {what} version {found!r}", offset=0)
+        raise ParseError(f"{path}: unsupported {what} version {found!r}", offset=0)
     return header, blob[newline + 1:], newline + 1
 
 
 def read_json(path, what: str):
     """Parse a JSON file; any malformed content is `_parse_json`'s ParseError."""
     with open(path, "rb") as fh:
-        return _parse_json(fh.read(), what)
+        return _parse_json(fh.read(), f"{path}: {what}")
 
 
 def load_manifest(path: str) -> list[str]:
     entries = read_json(path, "dataset manifest")
     if not isinstance(entries, list) or not all(isinstance(p, str) for p in entries):
-        raise ParseError("dataset manifest must be a JSON list of file paths", offset=0)
+        raise ParseError(f"{path}: dataset manifest must be a JSON list of file paths")
     base = os.path.dirname(os.path.abspath(path))
     return [p if os.path.isabs(p) else os.path.join(base, p) for p in entries]
 

@@ -13,6 +13,7 @@ then the concatenated little-endian float64 tensor payload.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import zlib
@@ -26,7 +27,8 @@ from .denoiser import (DenoiserConfig, DenoiserModel, _eval_groups, init_denoise
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      ParseError, TrainingDivergedError, check_count)
-from .motion_data import Normalizer, PredictionTask, read_header_file
+from .motion_data import (Normalizer, PredictionTask, json_parts, read_header_file,
+                          write_file)
 
 CKPT_VERSION = 1
 DIVERGE_LIMIT = 1e6
@@ -265,11 +267,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "rng_state": ckpt.rng_state,
         "tensors": index,
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for raw in chunks:
-            fh.write(raw)
+    write_file(path, itertools.chain(json_parts(manifest, sort_keys=True), chunks))
 
 
 def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
@@ -287,11 +285,17 @@ def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a CKPT1 file; any malformed manifest or payload, a manifest line that
-    `read_header_file` rejects included, is an IntegrityError."""
+    `read_header_file` rejects included, is an IntegrityError naming the file."""
     try:
-        manifest, payload, _ = read_header_file(path, "checkpoint manifest", CKPT_VERSION)
-    except ParseError as exc:
+        return _decode_checkpoint(*read_header_file(path, "checkpoint manifest",
+                                                    CKPT_VERSION)[:2])
+    except ParseError as exc:  # its message names the file already
         raise IntegrityError(str(exc)) from exc
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc
+
+
+def _decode_checkpoint(manifest: dict, payload: bytes) -> Checkpoint:
     try:
         den_cfg = DenoiserConfig(**manifest["denoiser_config"])
         sched_k = manifest["schedule"]["k_steps"]

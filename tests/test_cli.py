@@ -7,6 +7,7 @@ import ctypes.util
 import glob
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -675,7 +676,8 @@ class TestEvalCmd:
     def test_euler_mse_columns(self, tmp_path, representation, horizons, columns):
         rng = np.random.default_rng(6)
         gt = rng.normal(size=(5, 6))
-        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt],
+                         representation=representation)
         build_sample_run(tmp_path / "d", [[gt + 0.5]], [gt], mode="deterministic",
                          representation=representation)
         out = tmp_path / "e"
@@ -716,6 +718,132 @@ class TestEvalCmd:
         # 1000 ms at 25 fps needs frame 25 > l_pred=5, so it drops out
         assert table[0][-2:] == ["euler_mse_80ms", "euler_mse_160ms"]
         assert [r[0] for r in table[1:]] == ["task_000", "task_001", "mean"]
+
+    def test_det_run_of_another_dataset_exits_2(self, tmp_path, checkpoint, dataset,
+                                                capsys):
+        # stochastic samples of an xyz dataset, deterministic ones of the euler
+        # dataset: scoring them together used to write euler_mse columns
+        assert main(["synth", "--out", str(tmp_path / "x"), "--n-joints", "2",
+                     "--n-sequences", "3", "--frames", "30", "--seed", "1",
+                     "--representation", "xyz"]) == 0
+        xyz = os.path.join(only_run_dir(tmp_path / "x", "synth"), "manifest.json")
+        common = ["--checkpoint", checkpoint, *WINDOW_ARGS, "--limit", "2"]
+        assert main(["sample", "--out", str(tmp_path / "sto"), "--data", xyz,
+                     *common, "--n", "3"]) == 0
+        assert main(["sample", "--out", str(tmp_path / "det"), "--data", dataset,
+                     *common, "--mode", "deterministic"]) == 0
+        assert main(["eval", "--out", str(tmp_path / "e"),
+                     "--samples", only_run_dir(tmp_path / "sto", "sample"),
+                     "--det", only_run_dir(tmp_path / "det", "sample")]) == 2
+        assert "representation" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("differs", ["representation", "fps", "ground truth"])
+    def test_det_run_of_other_motions_exits_2(self, tmp_path, capsys, differs):
+        # both sampling modes are scored on the same observed windows
+        rng = np.random.default_rng(10)
+        gts = [rng.normal(size=(5, 6)) for _ in range(2)]
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0] for gt in gts], gts)
+        det_gts = [gts[0], gts[1] + 1e-9] if differs == "ground truth" else gts
+        build_sample_run(tmp_path / "d", [[gt] for gt in det_gts], det_gts,
+                         mode="deterministic", fps=50.0 if differs == "fps" else 25.0,
+                         representation="xyz" if differs == "representation" else "euler")
+        assert main(["eval", "--out", str(tmp_path / "e"), "--samples",
+                     str(tmp_path / "s"), "--det", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert differs in err
+        if differs == "ground truth":
+            assert "task 1 " in err
+        assert not (tmp_path / "e").exists()
+
+
+def damage_byte(path, offset):
+    """Make byte `offset` of the file a control character (0x01)."""
+    blob = bytearray(path.read_bytes())
+    blob[offset] = 0x01
+    path.write_bytes(bytes(blob))
+
+
+class TestDamagedFileIsNamed:
+    """An error about a file's content names that file, once."""
+
+    def test_eval_names_a_damaged_sample(self, tmp_path, capsys):
+        gt = np.random.default_rng(11).normal(size=(5, 6))
+        build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+        bad = tmp_path / "s" / "task_000" / "sample_001.mseq"
+        damage_byte(bad, 3)
+        assert main(["eval", "--out", str(tmp_path / "e"), "--samples",
+                     str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "motion file header is not valid JSON" in err
+        assert err.count(str(bad)) == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_train_names_a_damaged_sequence(self, tmp_path, dataset, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(os.path.dirname(dataset), data)
+        bad = data / "seq_002.mseq"
+        damage_byte(bad, 3)
+        assert main(["train", "--out", str(tmp_path / "o"), "--data",
+                     str(data / "manifest.json"), "--iterations", "1", *TRAIN_ARGS]) == 2
+        err = capsys.readouterr().err
+        assert "motion file header is not valid JSON" in err
+        assert err.count(str(bad)) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("offset, fragment", [(3, "not valid JSON"),
+                                                  (-1, "checksum")],
+                             ids=["manifest-line", "payload"])
+    def test_sample_names_a_damaged_checkpoint(self, tmp_path, checkpoint, dataset,
+                                               capsys, offset, fragment):
+        bad = tmp_path / "bad.ckpt"
+        shutil.copyfile(checkpoint, bad)
+        damage_byte(bad, offset)
+        assert main(["sample", "--out", str(tmp_path / "o"), "--checkpoint", str(bad),
+                     "--data", dataset, *WINDOW_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert fragment in err and err.count(str(bad)) == 1
+        assert not (tmp_path / "o").exists()
+
+
+def _eval_args(tmp_path, dataset, checkpoint):
+    gt = np.random.default_rng(12).normal(size=(5, 6))
+    build_sample_run(tmp_path / "s", [[gt, gt + 1.0]], [gt])
+    return ["--samples", str(tmp_path / "s")]
+
+
+# each command's arguments, from (a directory, the dataset manifest, the checkpoint)
+RUN_ARGS = {
+    "synth": lambda tmp_path, dataset, checkpoint: [
+        "--n-joints", "2", "--n-sequences", "1", "--frames", "12"],
+    "train": lambda tmp_path, dataset, checkpoint: [
+        "--data", dataset, "--iterations", "1", *TRAIN_ARGS],
+    "sample": lambda tmp_path, dataset, checkpoint: [
+        "--checkpoint", checkpoint, "--data", dataset, *WINDOW_ARGS, "--limit", "1",
+        "--n", "2"],
+    "eval": _eval_args,
+    "gradcheck": lambda tmp_path, dataset, checkpoint: ["--probes", "1"],
+    "export": lambda tmp_path, dataset, checkpoint: [
+        "--input", os.path.join(os.path.dirname(dataset), "seq_000.mseq")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+def test_every_command_announces_exactly_one_run(tmp_path, dataset, checkpoint, capsys,
+                                                 command):
+    out = tmp_path / "out"
+    argv = [command, *RUN_ARGS[command](tmp_path, dataset, checkpoint), "--out", str(out)]
+    assert main(argv) == 0
+    announced = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("run directory: ")]
+    assert len(announced) == 1, announced
+    run_dir = announced[0][len("run directory: "):]
+    assert os.listdir(out) == [os.path.basename(run_dir)]
+    assert run_dir == os.path.join(str(out), os.path.basename(run_dir))
+    manifest = read_manifest(run_dir)
+    resolved = cli.resolve_config(command, cli.build_parser().parse_args(argv))
+    assert manifest["command"] == command
+    assert manifest["config"] == json.loads(json.dumps(resolved))
 
 
 class TestGradcheckCmd:

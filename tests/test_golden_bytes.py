@@ -1,10 +1,10 @@
 """Golden SHA-256 digests of every file a TOY command-line pipeline writes.
 
-`cli.main` runs synth → train → train --resume → sample (stochastic) →
-sample (deterministic) → eval in-process at gradcheck's TOY shape, for
-both denoiser variants, twice: once with `denoiser.GROUP_BYTES` cut so
-that a training batch and an N-sample batch each span 2 groups, and once
-as shipped.  Every file except run_manifest.json (it records paths) must
+`cli.main` runs synth → export → train → train --resume → sample
+(stochastic) → sample (deterministic) → eval in-process at gradcheck's
+TOY shape, for both denoiser variants, twice: once with
+`denoiser.GROUP_BYTES` cut so that a training batch and an N-sample batch
+each span 2 groups, and once as shipped.  Every file except run_manifest.json (it records paths) must
 hash to its digest in golden_digests.json.
 
 Digests hold for one numpy, BLAS and machine architecture, recorded beside
@@ -62,6 +62,8 @@ def pipeline_digests(base, variant: str) -> dict[str, str]:
     runs = {"synth": _run(base, "synth", [
         "synth", "--n-joints", str(TOY_CONFIG["dim"] // 3), "--n-sequences", "3",
         "--frames", "30", "--seed", "3"])}
+    runs["export"] = _run(base, "export", [
+        "export", "--input", os.path.join(runs["synth"], "seq_000.mseq")])
     data = os.path.join(runs["synth"], "manifest.json")
     train = ["train", "--data", data, "--variant", variant, *WINDOW, *MODEL,
              "--batch-size", str(BATCH), "--lr", "1e-3", "--checkpoint-every", "1"]

@@ -1,7 +1,9 @@
 """Data model, synthetic generator, windowing, normalization, MSEQ1 I/O."""
 
+import ast
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -221,7 +223,7 @@ class TestMotionFileIO:
                   "repr": "euler", "label": None}
         path = tmp_path / "bad.mseq"
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 24)
-        with pytest.raises(ParseError, match="fps"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: header fps"):
             mdata.load_motion_file(path)
 
     @pytest.mark.parametrize("label", ["walk", "café"], ids=["ascii", "non-ascii"])
@@ -249,7 +251,7 @@ class TestMotionFileIO:
                   "repr": "euler", "label": None}
         path = tmp_path / "bad.mseq"
         path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 24)
-        with pytest.raises(ParseError, match="version"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: .* version 9"):
             mdata.load_motion_file(path)
 
 
@@ -281,3 +283,69 @@ class TestManifest:
         path.write_text('{"files": []}')
         with pytest.raises(ParseError):
             mdata.load_manifest(path)
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("fmt", [{"indent": 0}, {"indent": 2, "sort_keys": True},
+                                     {"sort_keys": True}])
+    def test_streamed_json_is_json_dumps_and_a_newline(self, tmp_path, fmt):
+        obj = {"b": [1, 2.5, None, True], "a": {"é": "x", "n": 10 ** 30}, "f": 1e-300}
+        path = tmp_path / "out.json"
+        mdata.write_file(path, mdata.json_parts(obj, **fmt))
+        assert path.read_bytes() == (json.dumps(obj, **fmt) + "\n").encode("ascii")
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        mdata.write_file(path, (bytes([i]) * i for i in range(4)))
+        assert path.read_bytes() == b"\x01\x02\x02\x03\x03\x03"
+
+
+def _file_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, kind) of each call that opens or writes a file:
+    kind is "read" or "write" for open(), "json.dump" for json.dump."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                text = "r" if mode is None else getattr(mode, "value", "?")
+                writes = not isinstance(text, str) or bool(set(text) & set("wax+?"))
+                found.append((scope, "write" if writes else "read"))
+            elif name in ("dump", "write_text", "write_bytes"):
+                found.append((scope, "json.dump" if name == "dump" else "write"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_every_file_the_program_writes_goes_through_write_file():
+    # one writer: an open() for writing anywhere else, or a json.dump, is a second
+    src = os.path.dirname(mdata.__file__)
+    calls = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                calls.update((name, scope, kind) for scope, kind in _file_calls(fh.read()))
+    assert calls == {("cli.py", "parse_config_file", "read"),
+                     ("motion_data.py", "read_header_file", "read"),
+                     ("motion_data.py", "read_json", "read"),
+                     ("motion_data.py", "write_file", "write")}
+
+
+@pytest.mark.parametrize("source, found", [
+    ('def f(p):\n    with open(p, "w") as fh:\n        fh.write("x")\n', [("f", "write")]),
+    ('def f(p, m):\n    open(p, mode=m)\n', [("f", "write")]),
+    ('def f(p):\n    open(p, "rb")\n    open(p)\n', [("f", "read"), ("f", "read")]),
+    ("def f(o, fh):\n    def g():\n        json.dump(o, fh)\n", [("g", "json.dump")]),
+    ("def f(p):\n    p.write_text('x')\n", [("f", "write")]),
+])
+def test_the_writer_scan_sees_each_kind_of_write(source, found):
+    assert _file_calls(source) == found

@@ -2,6 +2,7 @@
 and checkpoint persistence."""
 
 import json
+import re
 import tracemalloc
 import weakref
 import zlib
@@ -36,6 +37,11 @@ def toy_tasks(cfg, n=6, seed=0):
 
 def toy_sched(cfg):
     return md.build_schedule(cfg.k_steps, 0.02, 0.3)
+
+
+def named(path, fragment):
+    """A pattern for an error message that starts with the file's path."""
+    return rf"^{re.escape(str(path))}: .*{fragment}"
 
 
 def chain_bytes(cfg):
@@ -515,7 +521,7 @@ class TestCheckpointIO:
     def test_version_mismatch_rejected(self, tmp_path):
         _, path, _ = self.trained_checkpoint(tmp_path)
         self.edit_manifest(path, lambda m: m.update(version=2))
-        with pytest.raises(IntegrityError, match="version"):
+        with pytest.raises(IntegrityError, match=named(path, "version 2")):
             md.load_checkpoint(path)
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
@@ -523,14 +529,14 @@ class TestCheckpointIO:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(IntegrityError, match="checksum"):
+        with pytest.raises(IntegrityError, match=named(path, "checksum")):
             md.load_checkpoint(path)
 
     def test_truncated_payload_detected(self, tmp_path):
         _, path, _ = self.trained_checkpoint(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-20])
-        with pytest.raises(IntegrityError, match="truncated"):
+        with pytest.raises(IntegrityError, match=named(path, "truncated")):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("moments, name, shape", [
@@ -542,7 +548,7 @@ class TestCheckpointIO:
         result, path, _ = self.trained_checkpoint(tmp_path)
         getattr(result.checkpoint, moments)[name] = np.zeros(shape)
         md.save_checkpoint(result.checkpoint, path)
-        with pytest.raises(IntegrityError, match="shape"):
+        with pytest.raises(IntegrityError, match=named(path, "shape")):
             md.load_checkpoint(path)
 
     def test_missing_tensor_detected(self, tmp_path):
@@ -550,7 +556,7 @@ class TestCheckpointIO:
         self.edit_manifest(
             path, lambda m: m.update(tensors=[e for e in m["tensors"]
                                               if e["name"] != "adam_v.in_w"]))
-        with pytest.raises(IntegrityError, match="missing"):
+        with pytest.raises(IntegrityError, match=named(path, "missing")):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("mutate", [
@@ -610,7 +616,7 @@ class TestCheckpointIO:
         result, path, _ = self.trained_checkpoint(tmp_path)
         result.checkpoint.normalizer = md.Normalizer(mean=mean, std=std)
         md.save_checkpoint(result.checkpoint, path)
-        with pytest.raises(IntegrityError, match="normalizer"):
+        with pytest.raises(IntegrityError, match=named(path, "normalizer")):
             md.load_checkpoint(path)
 
     def test_checkpoint_with_key_biases_loads(self, tmp_path):
@@ -640,7 +646,7 @@ class TestCheckpointIO:
     def test_manifest_must_be_an_object(self, tmp_path, line):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(line + b"\npayload")
-        with pytest.raises(IntegrityError, match="object"):
+        with pytest.raises(IntegrityError, match=named(path, "object")):
             md.load_checkpoint(path)
 
     def test_manifest_must_be_json(self, tmp_path):
