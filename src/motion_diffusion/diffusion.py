@@ -195,11 +195,9 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
             eps_hat = model.eval_batch(obs, x, ks)
         except NumericsError as exc:
             raise SamplingDivergedError(f"denoiser failed: {exc}", step=k) from exc
-        # a model whose forward does not run through the tape's ops
-        if not np.all(np.isfinite(eps_hat)):
-            raise SamplingDivergedError("denoiser output is non-finite", step=k)
         # step 1 ignores z; (K+1-k) % K hands it slice 0 for the shape check
         x = reverse_step(x, k, eps_hat, noise[:, (k_steps + 1 - k) % k_steps], sched)
+        # also catches a non-finite eps_hat from a model that bypasses the tape's ops
         if not np.all(np.isfinite(x)):
             raise SamplingDivergedError("reverse state is non-finite", step=k)
     return x

@@ -34,7 +34,7 @@ class IntegrityError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training loss became non-finite or exploded.
+    """A training step diverged: its loss exploded or a value became non-finite.
 
     `iteration` is the failing step.  From `train`, `checkpoint` is the last
     good training snapshot, at worst the one the run started from.
@@ -42,8 +42,7 @@ class TrainingDivergedError(RuntimeError):
 
     def __init__(self, message: str, iteration: int, checkpoint=None):
         super().__init__(f"{message} (iteration {iteration})")
-        self.iteration = iteration
-        self.checkpoint = checkpoint
+        self.message, self.iteration, self.checkpoint = message, iteration, checkpoint
 
 
 class SamplingDivergedError(RuntimeError):

@@ -76,26 +76,24 @@ def apd(s: SampleSet) -> float:
     return total / (n * (n - 1))
 
 
-def _per_sample_distances(s: SampleSet) -> np.ndarray:
+def _distance_summary(s: SampleSet, frames: slice, divisor: int) -> tuple[float, float, float]:
+    """min/mean/std over samples of the flattened L2 distance to the ground
+    truth on `frames`, each divided by `divisor`."""
     if s.ground_truth is None:
         raise ContractError("displacement metrics require ground truth")
-    diff = s.samples - s.ground_truth
-    return np.linalg.norm(diff.reshape(s.n_samples, -1), axis=1)
+    diff = s.samples[:, frames] - s.ground_truth[frames]
+    d = np.linalg.norm(diff.reshape(s.n_samples, -1), axis=1) / divisor
+    return float(d.min()), float(d.mean()), float(d.std())
 
 
 def displacement_errors(s: SampleSet) -> tuple[float, float, float]:
     """(mDE, aDE, sDE): min/mean/std of per-sample (1/L) * flattened L2."""
-    d = _per_sample_distances(s) / s.samples.shape[1]
-    return float(d.min()), float(d.mean()), float(d.std())
+    return _distance_summary(s, slice(None), s.samples.shape[1])
 
 
 def final_displacement_errors(s: SampleSet) -> tuple[float, float, float]:
     """(mFDE, aFDE, sFDE): min/mean/std of final-frame L2, no 1/L factor."""
-    if s.ground_truth is None:
-        raise ContractError("displacement metrics require ground truth")
-    diff = s.samples[:, -1, :] - s.ground_truth[-1]
-    d = np.linalg.norm(diff, axis=1)
-    return float(d.min()), float(d.mean()), float(d.std())
+    return _distance_summary(s, slice(-1, None), 1)
 
 
 def wrap_angle(d):

@@ -26,7 +26,7 @@ from .denoiser import (DenoiserConfig, DenoiserModel, _eval_groups, init_denoise
                        param_shapes)
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
-                     ParseError, TrainingDivergedError, check_count)
+                     NumericsError, ParseError, TrainingDivergedError, check_count)
 from .motion_data import (Normalizer, PredictionTask, json_parts, read_header_file,
                           write_file)
 
@@ -49,8 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "iterations", "checkpoint_every"):
             check_count(getattr(self, name), 1, name, ConfigError)
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # NaN fails too
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not self.grad_clip >= 0:  # NaN would turn clipping off
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
 
@@ -58,13 +58,12 @@ class TrainConfig:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               m: dict[str, np.ndarray], v: dict[str, np.ndarray],
               t: int, cfg: TrainConfig) -> None:
-    """Bias-corrected Adam update, in place; t is the 1-based step count."""
+    """Bias-corrected Adam update, in place; t is the 1-based step count.  An update
+    that leaves a parameter or its second moment non-finite, as any non-finite
+    gradient does, raises TrainingDivergedError naming the parameter."""
     if set(params) != set(grads) or set(params) != set(m) or set(params) != set(v):
         raise ContractError("params, grads and moments must share one name set")
     check_count(t, 1, "step count t", ContractError)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"gradient for {name!r} is non-finite", t)
     if cfg.grad_clip > 0:
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if total > cfg.grad_clip:
@@ -77,6 +76,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
         params[name] = params[name] - cfg.lr * (m[name] / c1) / (
             np.sqrt(v[name] / c2) + ADAM_EPS)
+        # a finite second moment bounds the first, so a checkpoint of these is finite
+        if not (np.all(np.isfinite(params[name])) and np.all(np.isfinite(v[name]))):
+            raise TrainingDivergedError(f"update of {name!r} is non-finite", t)
 
 
 @dataclass(eq=False)
@@ -167,9 +169,10 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     omitted).  The continuation is bit identical to an uninterrupted run
     with the same configs.  The run keeps the checkpoint's configs and
     normalizer; `den_cfg` and `sched` must match them, and `normalizer`
-    must be omitted or equal to it.  On divergence (non-finite or
-    exploding loss) the raised error carries the last good checkpoint,
-    at worst `start`.
+    must be omitted or equal to it.  An iteration whose loss passes
+    DIVERGE_LIMIT, or whose op or Adam update fails its finiteness check,
+    raises one TrainingDivergedError that names it and carries the last
+    good checkpoint, at worst `start`; the diverged dicts are thrown away.
     """
     if not tasks:
         raise ContractError("training needs at least one task")
@@ -208,23 +211,24 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
         ks = rng.integers(1, sched.k_steps + 1, size=b)
         eps = rng.standard_normal((b, den_cfg.l_pred, den_cfg.dim))
         loss_val, grads = 0.0, None
-        for chains in groups:
-            tape = nm.Tape()
-            loss_t, leaves = batch_noise_loss(model, tape, obs[idx[chains]], gt[idx[chains]],
-                                              ks[chains], eps[chains], sched, eps.size)
-            # group losses are >= 0: a running total past the limit is a diverged step
-            loss_val += float(loss_t.data)
-            if not np.isfinite(loss_val) or loss_val > DIVERGE_LIMIT:
-                raise TrainingDivergedError(
-                    f"loss {loss_val} exceeded limits", it, checkpoint=last_good)
-            part = tape.gradients(loss_t, leaves)
-            grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
-            # the next group's forward must not run beside this group's tape
-            del tape, loss_t, leaves, part
         try:
+            for chains in groups:
+                tape = nm.Tape()
+                loss_t, leaves = batch_noise_loss(model, tape, obs[idx[chains]],
+                                                  gt[idx[chains]], ks[chains], eps[chains],
+                                                  sched, eps.size)
+                # each group loss is op-checked finite and >= 0: a total past the limit diverged
+                loss_val += float(loss_t.data)
+                if loss_val > DIVERGE_LIMIT:
+                    raise TrainingDivergedError(f"loss {loss_val} exceeded limits", it)
+                part = tape.gradients(loss_t, leaves)
+                grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
+                # the next group's forward must not run beside this group's tape
+                del tape, loss_t, leaves, part
             adam_step(model.params, grads, m, v, it, tr_cfg)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(str(exc), it, checkpoint=last_good) from exc
+        except (NumericsError, TrainingDivergedError) as exc:
+            raise TrainingDivergedError(getattr(exc, "message", str(exc)), it,
+                                        checkpoint=last_good) from exc
         losses.append(loss_val)
         if it % tr_cfg.checkpoint_every == 0:
             last_good = _snapshot(start, model, m, v, it, rng)
@@ -239,10 +243,9 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
 
 
 def _tensor_items(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    order = list(param_shapes(ckpt.denoiser_config))
-    items = [(f"param.{k}", ckpt.params[k]) for k in order]
-    items += [(f"adam_m.{k}", ckpt.adam_m[k]) for k in order]
-    items += [(f"adam_v.{k}", ckpt.adam_v[k]) for k in order]
+    groups = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
+    items = [(f"{group}.{k}", arrays[k]) for group, arrays in groups.items()
+             for k in param_shapes(ckpt.denoiser_config)]
     return items + [("norm.mean", ckpt.normalizer.mean), ("norm.std", ckpt.normalizer.std)]
 
 
@@ -323,33 +326,30 @@ def _decode_checkpoint(manifest: dict, payload: bytes) -> Checkpoint:
         if zlib.crc32(raw) != crc:
             raise IntegrityError(f"tensor {name!r} failed its checksum")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
+    if not has_normalizer:  # a file saved before every checkpoint carried one
+        tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))
+    # every tensor a Checkpoint keeps must be there, of its shape, and finite
     expected = param_shapes(den_cfg)
-    params, m_mom, v_mom = {}, {}, {}
-    for name, shape in expected.items():
-        for prefix, dest in (("param.", params), ("adam_m.", m_mom), ("adam_v.", v_mom)):
-            key = prefix + name
-            if key not in tensors:
-                raise IntegrityError(f"checkpoint is missing tensor {key!r}")
-            if tensors[key].shape != shape:
-                raise IntegrityError(
-                    f"tensor {key!r} has shape {tensors[key].shape}, not {shape}")
-            dest[name] = tensors[key]
+    shapes = {f"{group}.{name}": shape for group in ("param", "adam_m", "adam_v")
+              for name, shape in expected.items()}
+    shapes["norm.mean"] = shapes["norm.std"] = (den_cfg.dim,)
+    for key, shape in shapes.items():
+        what = f"normalizer tensor {key!r}" if key.startswith("norm.") else f"tensor {key!r}"
+        if key not in tensors:
+            raise IntegrityError(f"checkpoint is missing {what}")
+        if tensors[key].shape != shape:
+            raise IntegrityError(f"{what} has shape {tensors[key].shape}, not {shape}")
+        if not np.all(np.isfinite(tensors[key])):
+            raise IntegrityError(f"{what} contains non-finite values")
+    if not np.all(tensors["norm.std"] > 0):
+        raise IntegrityError("normalizer needs a positive std")
     try:
         sched = build_schedule(**manifest["schedule"])
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint schedule is malformed: {exc!r}") from exc
-    if not has_normalizer:  # a file saved before every checkpoint carried one
-        tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))
-    if "norm.mean" not in tensors or "norm.std" not in tensors:
-        raise IntegrityError("checkpoint is missing normalizer tensors")
-    mean, std = tensors["norm.mean"], tensors["norm.std"]
-    if mean.shape != (den_cfg.dim,) or std.shape != (den_cfg.dim,):
-        raise IntegrityError(
-            f"normalizer tensors have shapes {mean.shape} and {std.shape}, "
-            f"not ({den_cfg.dim},)")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
-        raise IntegrityError("normalizer needs a finite mean and a finite, positive std")
+    params, m_mom, v_mom = ({name: tensors[f"{group}.{name}"] for name in expected}
+                            for group in ("param", "adam_m", "adam_v"))
     return Checkpoint(denoiser_config=den_cfg, schedule=sched,
-                      normalizer=Normalizer(mean, std), params=params, adam_m=m_mom,
-                      adam_v=v_mom, iteration=iteration, rng_state=rng_state)
+                      normalizer=Normalizer(tensors["norm.mean"], tensors["norm.std"]),
+                      params=params, adam_m=m_mom, adam_v=v_mom, iteration=iteration,
+                      rng_state=rng_state)

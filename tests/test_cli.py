@@ -7,6 +7,7 @@ import ctypes.util
 import glob
 import json
 import os
+import re
 import shutil
 import time
 
@@ -201,6 +202,17 @@ class TestTrainCmd:
                      "--iterations", "33", *TRAIN_ARGS, "--resume", str(path)]) == 1
         assert "adam_m.in_w" in capsys.readouterr().err
 
+    def test_resume_from_a_non_finite_checkpoint_exits_1(self, tmp_path, dataset,
+                                                         checkpoint, capsys):
+        ckpt = md.load_checkpoint(checkpoint)
+        ckpt.params["in_w"][0] = np.nan
+        path = tmp_path / "nan.ckpt"
+        md.save_checkpoint(ckpt, path)
+        assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
+                     "--iterations", "33", *TRAIN_ARGS, "--resume", str(path)]) == 1
+        assert "param.in_w" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_manifest_exits_2(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "o"),
                      "--data", str(tmp_path / "nope.json"), *TRAIN_ARGS]) == 2
@@ -325,6 +337,21 @@ class TestTrainCmd:
         ckpt = md.load_checkpoint(
             os.path.join(only_run_dir(out, "train"), "checkpoint.ckpt"))
         assert ckpt.iteration >= 1
+
+    def test_op_overflow_exits_1_naming_the_iteration(self, tmp_path, dataset, capsys):
+        # an update leaves huge but finite weights, and the next
+        # iteration's ops overflow on them
+        out = tmp_path / "d"
+        assert main(["train", "--out", str(out), "--data", dataset, "--iterations", "50",
+                     "--seed", "1", *TRAIN_ARGS, "--lr", "1e300",
+                     "--checkpoint-every", "1"]) == 1
+        err = capsys.readouterr().err
+        (failed,) = re.findall(r"\(iteration (\d+)\)", err)
+        saved = re.search(r"saved last good checkpoint at iteration (\d+)", err)
+        assert int(saved.group(1)) == int(failed) - 1
+        ckpt = md.load_checkpoint(
+            os.path.join(only_run_dir(out, "train"), "checkpoint.ckpt"))
+        assert ckpt.iteration == int(failed) - 1
 
 
 class TestSampleCmd:
@@ -966,6 +993,8 @@ BAD_VALUES = {
         "synth", "--representation", "quaternion", "--n-sequences", "8"],
     "train-grad-clip-nan": lambda d, data: [
         "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--grad-clip", "nan"],
+    "train-lr-inf": lambda d, data: [
+        "train", "--data", data, "--iterations", "1", *TRAIN_ARGS, "--lr", "inf"],
 }
 
 

@@ -1,4 +1,5 @@
-"""Byte damage to any file the command line reads ends in exit code 0, 1 or 2.
+"""Byte damage to any file the command line reads, and an extreme value of any
+numeric `train` flag, end in exit code 0, 1 or 2.
 
 One TOY synth → train → sample run is built per module.  Each example
 damages a copy of one of its files (1 to 4 flipped bytes, or a
@@ -6,6 +7,8 @@ truncation) and runs the command that reads it in-process: no exception
 may escape `cli.main`, and an exit of 2, a rejected input, must leave no
 run directory.  Whole-value swaps of typed fields are covered in
 test_typed_fields.py; this covers damage below the JSON value level.
+A `train` run with an extreme flag value that exits 0 or 1 must leave a
+checkpoint that loads.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motion_diffusion.cli import main
+from motion_diffusion.training import load_checkpoint
 
 WINDOW_ARGS = ["--t-obs", "4", "--l-pred", "5", "--stride", "6"]
 TRAIN_ARGS = WINDOW_ARGS + ["--model-dim", "16", "--n-heads", "2", "--k-steps", "3",
@@ -97,3 +101,23 @@ def test_byte_damage_never_escapes_main(run, target, data):
             assert not os.path.exists(out), err
     finally:
         shutil.rmtree(work)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e308", "0", "-0.0"])
+@pytest.mark.parametrize("flag", ["--lr", "--grad-clip", "--beta-min", "--beta-max",
+                                  "--train-fraction"])
+def test_extreme_train_flag_never_escapes_main(run, tmp_path, flag, value):
+    # a snapshot every iteration, so a diverged run saves what the update
+    # before it made; `flag=value` keeps argparse from reading -inf as a flag
+    data, _ = run[1]["dataset-manifest-train"]
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(["train", "--out", str(out), "--data", data, "--iterations", "2",
+                     "--seed", "4", *TRAIN_ARGS, "--checkpoint-every", "1",
+                     f"{flag}={value}"])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert not out.exists(), err
+    else:
+        load_checkpoint(_only(str(out / "train-*" / "checkpoint.ckpt")))

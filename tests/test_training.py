@@ -16,7 +16,7 @@ import motion_diffusion.numerics as nm
 import motion_diffusion.training as training
 from motion_diffusion import denoiser as dn
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
-                                     IntegrityError, TrainingDivergedError)
+                                     IntegrityError, NumericsError, TrainingDivergedError)
 from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
                                        adam_step, initial_checkpoint)
 
@@ -146,8 +146,8 @@ class TestAdam:
 
 class TestTrainConfig:
     def test_validation(self):
-        for kw in (dict(batch_size=0), dict(lr=0.0), dict(grad_clip=-1.0),
-                   dict(grad_clip=float("nan")), dict(iterations=0)):
+        for kw in (dict(batch_size=0), dict(lr=0.0), dict(lr=float("inf")),
+                   dict(grad_clip=-1.0), dict(grad_clip=float("nan")), dict(iterations=0)):
             with pytest.raises(ConfigError):
                 TrainConfig(**kw)
 
@@ -289,6 +289,58 @@ class TestTrainLoop:
             md.train(toy_tasks(cfg), cfg, tr, toy_sched(cfg), start=start)
         assert err.value.checkpoint.iteration == 0
         assert err.value.checkpoint.rng_state == start.rng_state
+
+    def assert_finite(self, ckpt):
+        for tensors in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+            for name, arr in tensors.items():
+                assert np.all(np.isfinite(arr)), name
+
+    def test_op_overflow_names_the_iteration(self):
+        # an lr of 1e300 leaves huge but finite weights, and the next
+        # iteration's own ops overflow on them
+        cfg = toy_den_cfg()
+        tr = TrainConfig(batch_size=8, iterations=200, lr=1e300, seed=3, checkpoint_every=1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergedError) as err:
+            md.train(toy_tasks(cfg), cfg, tr, toy_sched(cfg))
+        exc = err.value
+        assert isinstance(exc.__cause__, NumericsError)
+        assert str(exc).count("(iteration") == 1
+        assert exc.checkpoint.iteration == exc.iteration - 1
+        self.assert_finite(exc.checkpoint)
+
+    def test_overflowing_last_update_raises_with_the_start(self):
+        # poses far outside the normalized range give gradients above 1,
+        # so lr * m / (1 - beta1) passes the largest float
+        cfg = toy_den_cfg()
+        tasks = [md.PredictionTask(100 * t.p_obs, 100 * t.p_gt) for t in toy_tasks(cfg)]
+        tr = TrainConfig(batch_size=8, iterations=1, lr=1e308, seed=3)
+        start = initial_checkpoint(cfg, toy_sched(cfg), md.Normalizer.identity(cfg.dim), 3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergedError) as err:
+            md.train(tasks, cfg, tr, toy_sched(cfg), start=start)
+        exc = err.value
+        assert exc.iteration == tr.iterations
+        assert "non-finite" in str(exc) and str(exc).count("(iteration") == 1
+        assert exc.checkpoint is start
+
+    def test_non_finite_gradient_names_the_iteration_once(self, monkeypatch):
+        gradients = nm.Tape.gradients
+
+        def poisoned(tape, loss, named):
+            grads = gradients(tape, loss, named)
+            grads["in_w"] = np.full_like(grads["in_w"], np.nan)
+            return grads
+
+        monkeypatch.setattr(nm.Tape, "gradients", poisoned)
+        cfg = toy_den_cfg()
+        tr = TrainConfig(batch_size=8, iterations=3, lr=1e-3, seed=3)
+        with pytest.raises(TrainingDivergedError) as err:
+            md.train(toy_tasks(cfg), cfg, tr, toy_sched(cfg))
+        assert "'in_w'" in str(err.value)
+        assert str(err.value).count("(iteration") == 1
+        # the first gradient is poisoned: the run stops at once, with its start
+        assert err.value.iteration == 1 and err.value.checkpoint.iteration == 0
 
     def test_input_validation(self):
         cfg = toy_den_cfg()
@@ -549,6 +601,16 @@ class TestCheckpointIO:
         getattr(result.checkpoint, moments)[name] = np.zeros(shape)
         md.save_checkpoint(result.checkpoint, path)
         with pytest.raises(IntegrityError, match=named(path, "shape")):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("group, prefix", [("params", "param"), ("adam_m", "adam_m"),
+                                               ("adam_v", "adam_v")])
+    def test_non_finite_tensor_is_integrity_error(self, tmp_path, group, prefix):
+        # saved with valid checksums: only the value check can refuse it
+        result, path, _ = self.trained_checkpoint(tmp_path)
+        getattr(result.checkpoint, group)["temp.wq"][1, 2] = np.nan
+        md.save_checkpoint(result.checkpoint, path)
+        with pytest.raises(IntegrityError, match=named(path, rf"'{prefix}\.temp\.wq'")):
             md.load_checkpoint(path)
 
     def test_missing_tensor_detected(self, tmp_path):
