@@ -530,7 +530,9 @@ def _pin_malloc_thresholds() -> None:
     keeps up to 256 MiB free instead of shrinking after every call.
     Only the command-line entry point calls this: importing the library
     leaves the host's allocator alone.  Without glibc's `mallopt` it
-    does nothing.
+    does nothing.  Sampling no longer needs it, since a reverse loop
+    reuses its own buffers (`numerics.buffer_pool`); training's taped
+    forwards and pullbacks still do.
     """
     path = ctypes.util.find_library("c")
     if path is None:
@@ -550,7 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         resolved = resolve_config(args.command, args)
-        return _HANDLERS[args.command](resolved)
+        # every overflow already ends in a typed error, so numpy's warnings only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _HANDLERS[args.command](resolved)
     except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,10 @@ OUT_HEAD_SCALE = 0.05 # shrink output heads so initial predictions sit near zero
 # arrays stay near L2 size.  One N = 50 task at CLI defaults, under the
 # CLI's allocator settings, took 4.9-5.2 s unsplit, 3.9-4.4 s at 2,400 rows
 # per call, 4.2-4.7 s at 600 and 1,200 rows, and 4.5-5.9 s at 4,800 and
-# 9,600 rows.  A perfbench-shaped `train` call (2 steps of batch 64, one
+# 9,600 rows.  Through the library with no allocator settings, where the
+# reverse loop's buffer pool keeps a group's temporaries from faulting in
+# fresh pages, it took 3.2-4.0 s at 2,400 rows per call (4.1-5.1 s without
+# the pool).  A perfbench-shaped `train` call (2 steps of batch 64, one
 # process per G, no allocator settings) ran at 47-70 items/s at G = 2, 4,
 # 8 and 16 chains, 41-54 at G = 32 and 38-46 at G = 64, the whole batch
 # (Xeon with 2 MiB of L2 per core, OpenBLAS at 1 thread).

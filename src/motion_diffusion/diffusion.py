@@ -183,23 +183,26 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
     """Run k = K..1 on N chains from their noise array (N, K, L, D).
 
     Slice 0 of a chain's noise is its start state x_K; slice j >= 1 is
-    z_{K+1-j}, the noise added at step K+1-j.  Step 1 adds no noise.
+    z_{K+1-j}, the noise added at step K+1-j.  Step 1 adds no noise.  All
+    K steps share one `numerics.buffer_pool`, so each step's denoiser
+    calls reuse the memory of the step before.
     """
     n, k_steps = noise.shape[0], sched.k_steps
     x = noise[:, 0]
     obs = np.asarray(p_obs, dtype=np.float64)[None]   # one observation for all N chains
     ks = np.empty(n, dtype=np.intp)
-    for k in range(k_steps, 0, -1):
-        ks[:] = k
-        try:
-            eps_hat = model.eval_batch(obs, x, ks)
-        except NumericsError as exc:
-            raise SamplingDivergedError(f"denoiser failed: {exc}", step=k) from exc
-        # step 1 ignores z; (K+1-k) % K hands it slice 0 for the shape check
-        x = reverse_step(x, k, eps_hat, noise[:, (k_steps + 1 - k) % k_steps], sched)
-        # also catches a non-finite eps_hat from a model that bypasses the tape's ops
-        if not np.all(np.isfinite(x)):
-            raise SamplingDivergedError("reverse state is non-finite", step=k)
+    with nm.buffer_pool():
+        for k in range(k_steps, 0, -1):
+            ks[:] = k
+            try:
+                eps_hat = model.eval_batch(obs, x, ks)
+            except NumericsError as exc:
+                raise SamplingDivergedError(f"denoiser failed: {exc}", step=k) from exc
+            # step 1 ignores z; (K+1-k) % K hands it slice 0 for the shape check
+            x = reverse_step(x, k, eps_hat, noise[:, (k_steps + 1 - k) % k_steps], sched)
+            # also catches a non-finite eps_hat from a model that bypasses the tape's ops
+            if not np.all(np.isfinite(x)):
+                raise SamplingDivergedError("reverse state is non-finite", step=k)
     return x
 
 

@@ -16,6 +16,22 @@ so a consumed tape can still be counted.
 Inference never touches a tape: wrap inputs with `constant` and the ops
 skip recording.
 
+A tape-free loop may also reuse its memory: `diffusion._reverse_loop`
+runs inside `buffer_pool()`.  There the large temporaries of a forward
+(GEMM outputs, the norm's two arrays, attention scores and context, the
+row gathers, and `add`, `mul` and `take_rows` outputs) come from
+`_alloc`, which hands out arrays over raw buffers (`bytearray` slots)
+that the pool keeps.  Outside a pool `_alloc` is `np.empty`, so training
+never sees one.  A hand-out is a fresh array over a slot's buffer, and
+every view of it has the hand-out as its base, so the slot is free again
+exactly when the hand-out and all its views are gone, which a weak
+reference tells.  An array a caller still holds is thus never
+overwritten, however late the caller copies it.  `_alloc` takes the
+smallest free slot that fits and makes a new one only when none does, so
+the pool stays near the forward's live set.  The ops write into the
+hand-outs with `out=`, which gives the bytes of a fresh array.  The open
+pool is a context variable: each thread has its own.
+
 `linear` fuses one GEMM-shaped step.  `attention_block` and `feedforward`
 fuse the two pre-norm blocks of an encoder layer, so a layer is two tape
 records; `attention_block` is the only taped attention.  Each piece of
@@ -35,6 +51,11 @@ would turn a -inf into 0) are checked too.
 
 from __future__ import annotations
 
+import bisect
+import contextlib
+import contextvars
+import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -155,6 +176,44 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# buffer pool for tape-free loops
+# ---------------------------------------------------------------------------
+
+
+# The open pool: its slots, each [bytearray, weak reference to its last
+# hand-out], in size order, so the first free one that fits is the smallest.
+_POOL: contextvars.ContextVar[list | None] = contextvars.ContextVar("numerics_pool",
+                                                                   default=None)
+
+
+@contextlib.contextmanager
+def buffer_pool():
+    """Let `_alloc` reuse buffers until the block exits; for tape-free loops only."""
+    token = _POOL.set([])
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
+def _alloc(shape) -> np.ndarray:
+    """An uninitialized float64 array: from the open pool, else `np.empty`."""
+    slots = _POOL.get()
+    if slots is None:
+        return np.empty(shape)
+    nbytes = 8 * math.prod(shape)
+    for slot in slots:
+        if len(slot[0]) >= nbytes and slot[1]() is None:
+            break
+    else:
+        slot = [bytearray(nbytes), None]
+        bisect.insort(slots, slot, key=lambda sl: len(sl[0]))
+    arr = np.ndarray(shape, buffer=slot[0])
+    slot[1] = weakref.ref(arr)
+    return arr
+
+
+# ---------------------------------------------------------------------------
 # op plumbing
 # ---------------------------------------------------------------------------
 
@@ -228,8 +287,10 @@ def _gemm(x2, w, b=None):
     """
     if w.shape[1] == 1:
         out = (x2 * w[:, 0]).sum(axis=-1, keepdims=True)
+    elif len(x2) == 1:
+        out = (np.concatenate([x2, x2]) @ w)[:1]
     else:
-        out = (np.concatenate([x2, x2]) @ w)[:1] if len(x2) == 1 else x2 @ w
+        out = np.matmul(x2, w, out=_alloc((len(x2), w.shape[1])))
     if b is not None:
         out += b
     return out
@@ -242,8 +303,8 @@ def _normalize(x, gain, bias):
     the variance, y is scaled in place, and the affine part is written
     into the scratch, which becomes the output.
     """
-    y = x - x.mean(axis=-1, keepdims=True)
-    out = y * y
+    y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=_alloc(x.shape))
+    out = np.multiply(y, y, out=_alloc(x.shape))
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     y *= inv
     np.multiply(y, gain, out=out)
@@ -276,14 +337,21 @@ def _attend(qd, kd, vd, n_heads, axis, name):
     """
     factor = 1.0 / np.sqrt(qd.shape[-1] // n_heads)
     heads = partial(_heads, n_heads=n_heads, axis=axis)
-    scores = np.matmul(heads(qd), np.swapaxes(heads(kd), -1, -2))
+    hq, hk = heads(qd), heads(kd)
+    scores = np.matmul(hq, np.swapaxes(hk, -1, -2), out=_alloc(hq.shape[:-1] + hk.shape[-2:-1]))
     scores *= factor
     if not np.all(np.isfinite(scores)):
         raise NumericsError(f"op '{name}' produced a non-finite score")
     p = _softmax_inplace(scores)
-    out = np.empty(qd.shape)
+    out = _alloc(qd.shape)
     np.matmul(p, heads(vd), out=heads(out))
     return out, p, factor
+
+
+def _gather(a, idx):
+    """a[idx] for an index array `_row_index` checked, into an `_alloc` array."""
+    # mode="clip" changes no in-range index and, unlike "raise", writes out= unbuffered
+    return np.take(a, idx, axis=0, out=_alloc(idx.shape + a.shape[1:]), mode="clip")
 
 
 def _row_index(indices, n_rows):
@@ -403,7 +471,7 @@ def _layer_norm_pullback(g, gain, y, inv):
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = a.data + b.data
+    out = np.add(a.data, b.data, out=_alloc(np.broadcast(a.data, b.data).shape))
     ash, bsh = a.data.shape, b.data.shape
 
     def pull(g):
@@ -425,7 +493,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = a.data * b.data
+    out = np.multiply(a.data, b.data, out=_alloc(np.broadcast(a.data, b.data).shape))
     ad, bd = a.data, b.data
 
     def pull(g):
@@ -602,7 +670,7 @@ def take_rows(a, indices) -> Tensor:
     """
     a = _coerce(a)
     idx = _row_index(indices, a.data.shape[0])
-    out = np.ascontiguousarray(a.data[idx])
+    out = _gather(a.data, idx)
     ash = a.data.shape
 
     def pull(g):
@@ -683,12 +751,12 @@ def attention_block(x, ln1_g, ln1_b, wq, bq, wk, wv, bv, wo, bo, n_heads: int,
     hn2 = hn.reshape(-1, c)
     k = _gemm(hn2, wk.data).reshape(xd.shape)
     if rows is not None:
-        k = k[keys]
+        k = _gather(k, keys)
     v = _gemm(hn2, wv.data, bv.data).reshape(xd.shape)
     if rows is None:
         hq, xq = hn, xd
     else:
-        v, hq, xq = v[keys], hn[queries], xd[queries]
+        v, hq, xq = _gather(v, keys), _gather(hn, queries), _gather(xd, queries)
     hq2 = hq.reshape(-1, c)
     q = _gemm(hq2, wq.data, bq.data).reshape(qshape)
     ctx, p, factor = _attend(q, k, v, n_heads, axis, "attention_block")

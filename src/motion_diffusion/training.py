@@ -60,12 +60,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               t: int, cfg: TrainConfig) -> None:
     """Bias-corrected Adam update, in place; t is the 1-based step count.  An update
     that leaves a parameter or its second moment non-finite, as any non-finite
-    gradient does, raises TrainingDivergedError naming the parameter."""
+    gradient does, raises TrainingDivergedError naming the parameter; with
+    clipping on, so does a non-finite global gradient norm, which would
+    otherwise scale every gradient to 0."""
     if set(params) != set(grads) or set(params) != set(m) or set(params) != set(v):
         raise ContractError("params, grads and moments must share one name set")
     check_count(t, 1, "step count t", ContractError)
     if cfg.grad_clip > 0:
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if not np.isfinite(total):
+            raise TrainingDivergedError(f"global gradient norm is {total}", t)
         if total > cfg.grad_clip:
             grads = {k: g * (cfg.grad_clip / total) for k, g in grads.items()}
     b1, b2 = ADAM_BETA1, ADAM_BETA2

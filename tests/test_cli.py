@@ -9,6 +9,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -352,6 +354,19 @@ class TestTrainCmd:
         ckpt = md.load_checkpoint(
             os.path.join(only_run_dir(out, "train"), "checkpoint.ckpt"))
         assert ckpt.iteration == int(failed) - 1
+
+    def test_diverged_run_prints_no_numpy_warning(self, tmp_path, dataset):
+        # its own process, so that Python prints any warning to stderr as a
+        # user would see it; every overflow already ends in a typed error
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(md.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "motion_diffusion.cli", "train",
+             "--out", str(tmp_path / "d"), "--data", dataset, "--iterations", "50",
+             "--seed", "1", *TRAIN_ARGS, "--lr", "1e308", "--checkpoint-every", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "saved last good checkpoint" in done.stderr
+        assert "Warning" not in done.stderr, done.stderr
 
 
 class TestSampleCmd:

@@ -1,11 +1,15 @@
 """Schedule algebra, forward/reverse process, loss contract, samplers."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motion_diffusion as md
+import motion_diffusion.denoiser as dn
 import motion_diffusion.numerics as nm
 from motion_diffusion.diffusion import batch_noise_loss
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
@@ -385,6 +389,118 @@ class TestSamplers:
         s = md.build_schedule(6, 0.02, 0.3)
         with pytest.raises(ContractError):
             md.sample_stochastic(zero_model(), np.zeros((3, 6)), 0, seed=1, sched=s)
+
+
+def pool_model(variant, l_pred=5, dim=6, seed=1):
+    cfg = md.DenoiserConfig(variant=variant, model_dim=8, n_heads=2, t_obs=3,
+                            l_pred=l_pred, dim=dim, k_steps=4)
+    return md.init_denoiser(cfg, seed)
+
+
+def two_chain_groups(model):
+    """The group budget the golden test cuts to: two chains per denoiser call."""
+    cfg = model.config
+    return 2 * cfg.l_pred * cfg.dim * cfg.model_dim * 8
+
+
+def slot_counts(model):
+    """Wrap model.eval_batch to record the open pool's slot count after each call."""
+    counts, inner = [], model.eval_batch
+
+    def counted(*args):
+        out = inner(*args)
+        counts.append(len(nm._POOL.get()))
+        return out
+
+    model.eval_batch = counted
+    return counts
+
+
+class TestBufferPool:
+    """`_reverse_loop` runs its K steps in one `numerics.buffer_pool`."""
+
+    @pytest.mark.parametrize("variant", dn.VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("pred", [(5, 6), (1, 1)])   # L * D = 1: one row per chain
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_pool_keeps_every_byte(self, monkeypatch, variant, n, pred, cut):
+        model = pool_model(variant, *pred)
+        if cut:
+            monkeypatch.setattr(dn, "GROUP_BYTES", two_chain_groups(model))
+        obs = np.random.default_rng(n).normal(size=(3, pred[1]))
+        s = md.build_schedule(4, 0.02, 0.3)
+
+        def run():
+            return (md.sample_stochastic(model, obs, n, seed=9, sched=s).samples,
+                    md.sample_deterministic(model, obs, s))
+
+        pooled = run()
+        monkeypatch.setattr(nm, "_alloc", np.empty)
+        for got, want in zip(pooled, run()):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", dn.VARIANTS)
+    def test_later_steps_make_no_new_slots(self, monkeypatch, variant):
+        model = pool_model(variant)
+        monkeypatch.setattr(dn, "GROUP_BYTES", two_chain_groups(model))
+        counts = slot_counts(model)
+        md.sample_stochastic(model, np.zeros((3, 6)), 7, seed=2,
+                             sched=md.build_schedule(4, 0.02, 0.3))
+        assert len(counts) == 4 and counts[0] > 0
+        assert counts == counts[:1] * 4
+
+    def test_pool_is_closed_after_the_loop_and_after_divergence(self):
+        s = md.build_schedule(6, 0.02, 0.3)
+        open_in_loop = []
+
+        def explode(o, x, k):
+            open_in_loop.append(nm._POOL.get() is not None)
+            return np.full_like(x, np.nan) if k[0] == 4 else np.zeros_like(x)
+
+        md.sample_deterministic(zero_model(), np.zeros((3, 6)), s)
+        assert nm._POOL.get() is None
+        with pytest.raises(SamplingDivergedError):
+            md.sample_stochastic(StubModel(5, 6, explode), np.zeros((3, 6)), 2, seed=1,
+                                 sched=s)
+        assert open_in_loop == [True] * 3
+        assert nm._POOL.get() is None
+
+    def test_threads_sampling_at_once_give_the_bytes_of_serial_runs(self):
+        s = md.build_schedule(4, 0.02, 0.3)
+        obs = np.random.default_rng(3).normal(size=(3, 6))
+        jobs = [(variant, seed) for variant in dn.VARIANTS for seed in (4, 5)]
+        serial = [md.sample_stochastic(pool_model(v), obs, 7, seed=seed, sched=s).samples
+                  for v, seed in jobs]
+        results, pools = [None] * len(jobs), [[] for _ in jobs]
+
+        def run(i):
+            model = pool_model(jobs[i][0])
+            inner = model.eval_batch
+
+            def seen(*args):
+                pools[i].append(nm._POOL.get())
+                return inner(*args)
+
+            model.eval_batch = seen
+            results[i] = md.sample_stochastic(model, obs, 7, seed=jobs[i][1], sched=s).samples
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert got.tobytes() == want.tobytes()
+        # each thread's loop had one pool of its own, open in all its steps
+        firsts = [seen[0] for seen in pools]
+        assert all(p is first for seen, first in zip(pools, firsts) for p in seen)
+        assert len({id(first) for first in firsts}) == len(jobs)
 
 
 class TestTrainedSampling:

@@ -727,3 +727,28 @@ def test_tensor_shape_contract():
     assert t.data.shape == (2, 3)
     assert t.data.dtype == np.float64
     assert t.data.flags["C_CONTIGUOUS"]
+
+
+def test_pool_never_overwrites_an_array_a_caller_holds(rng):
+    # the first output, and a view of it kept after the output itself is
+    # dropped, keep their slots busy through later forwards in the pool
+    arrays = block_arrays(rng, (4, 3, 8), FEEDFORWARD_PARAMS, 16)
+    params = [arrays[n] for n in FEEDFORWARD_PARAMS]
+    with nm.buffer_pool():
+        held = nm.feedforward(arrays["x"], *params).data
+        row = nm.reshape(nm.feedforward(arrays["x"] + 1.0, *params), (12, 8)).data[5]
+        expected_held, expected_row = held.copy(), row.copy()
+        for _ in range(3):
+            later = nm.feedforward(rng.normal(size=arrays["x"].shape), *params).data
+            assert not np.shares_memory(later, held) and not np.shares_memory(later, row)
+            del later
+    np.testing.assert_array_equal(held, expected_held)
+    np.testing.assert_array_equal(row, expected_row)
+
+
+def test_alloc_outside_a_pool_is_a_plain_array():
+    assert nm._POOL.get() is None
+    assert nm._alloc((2, 3)).flags.owndata
+    with nm.buffer_pool():
+        assert not nm._alloc((2, 3)).flags.owndata
+    assert nm._POOL.get() is None

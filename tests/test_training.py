@@ -124,6 +124,20 @@ class TestAdam:
         assert "'w'" in str(err.value)
         assert err.value.iteration == 3
 
+    @pytest.mark.parametrize("big", [1e200, np.nan])
+    def test_non_finite_clip_norm_aborts(self, big):
+        # 1e200 is finite but its square is not: the norm of inf would scale
+        # every gradient to 0 and the step would end as if nothing diverged
+        params, m, v = self.fresh({"w": [1.0, 1.0], "b": [0.5]})
+        grads = {"w": np.array([big, -big]), "b": np.array([0.25])}
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDivergedError, match="gradient norm") as err:
+            adam_step(params, grads, m, v, 7, self.opt_cfg(grad_clip=1.0))
+        assert err.value.iteration == 7
+        for name, start in {"w": [1.0, 1.0], "b": [0.5]}.items():
+            np.testing.assert_array_equal(params[name], start)
+        assert not any(np.any(a) for a in (*m.values(), *v.values()))
+
     def test_clip_equals_prescaled_gradients(self):
         grads = {"a": np.array([30.0, 40.0]), "b": np.array([120.0])}
         total = np.sqrt(30.0 ** 2 + 40.0 ** 2 + 120.0 ** 2)
