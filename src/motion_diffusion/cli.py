@@ -15,8 +15,6 @@ configuration error, including a path that cannot be read.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import ctypes.util
 import os
 import sys
 import time
@@ -24,6 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
+from . import numerics as nm
 from .denoiser import DenoiserConfig
 from .diffusion import build_schedule, sample_deterministic, sample_stochastic
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
@@ -43,12 +42,6 @@ LOG_EVERY = 100  # loss_log.csv keeps iteration 1, every LOG_EVERY-th and the la
 
 # (key, type, default, help); required keys use the REQUIRED sentinel
 REQUIRED = object()
-
-# glibc mallopt parameters (malloc.h) and the values the CLI pins
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 32 << 20
-TRIM_THRESHOLD_BYTES = 256 << 20
 
 _SPLIT_KEYS = [
     ("t_obs", int, 16, "observed frames per task"),
@@ -353,26 +346,28 @@ def cmd_sample(cfg: dict) -> int:
             frames=frames, fps=meta["fps"], representation=meta["representation"]))
 
     index = []
-    for i, task in enumerate(tasks):
-        task_dir = os.path.join(run_dir, f"task_{i:03d}")
-        os.makedirs(task_dir)
-        obs_n = ckpt.normalizer.apply(task.p_obs)
-        entry = {"index": i, "dir": f"task_{i:03d}", "gt": "gt.mseq", "files": []}
-        write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
-        try:
-            if cfg["mode"] == "deterministic":
-                futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
-                names = ["det.mseq"]
-            else:
-                futures = sample_stochastic(model, obs_n, cfg["n"], _task_seed(cfg["seed"], i),
-                                            ckpt.schedule).samples
-                names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
-        except SamplingDivergedError as exc:
-            raise SamplingDivergedError(exc.message, exc.step, task=i) from exc
-        for name, future in zip(names, futures):
-            write_seq(os.path.join(task_dir, name), ckpt.normalizer.invert(future))
-            entry["files"].append(name)
-        index.append(entry)
+    with nm.buffer_pool():  # one pool for every task: its slots outlive each task
+        for i, task in enumerate(tasks):
+            task_dir = os.path.join(run_dir, f"task_{i:03d}")
+            os.makedirs(task_dir)
+            obs_n = ckpt.normalizer.apply(task.p_obs)
+            entry = {"index": i, "dir": f"task_{i:03d}", "gt": "gt.mseq", "files": []}
+            write_seq(os.path.join(task_dir, "gt.mseq"), task.p_gt)
+            try:
+                if cfg["mode"] == "deterministic":
+                    futures = [sample_deterministic(model, obs_n, ckpt.schedule)]
+                    names = ["det.mseq"]
+                else:
+                    futures = sample_stochastic(model, obs_n, cfg["n"],
+                                                _task_seed(cfg["seed"], i),
+                                                ckpt.schedule).samples
+                    names = [f"sample_{j:03d}.mseq" for j in range(len(futures))]
+            except SamplingDivergedError as exc:
+                raise SamplingDivergedError(exc.message, exc.step, task=i) from exc
+            for name, future in zip(names, futures):
+                write_seq(os.path.join(task_dir, name), ckpt.normalizer.invert(future))
+                entry["files"].append(name)
+            index.append(entry)
 
     write_file(os.path.join(run_dir, "samples_manifest.json"), json_parts(
         {"mode": cfg["mode"], "n": cfg["n"], "seed": cfg["seed"], "fps": meta["fps"],
@@ -520,35 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds for this process.
-
-    glibc raises both thresholds by itself after freeing a large block,
-    so whether a denoiser call's large temporaries reuse heap memory or
-    fault in fresh pages used to depend on what the process allocated
-    earlier.  Pinned, blocks up to 32 MiB come from the heap and the heap
-    keeps up to 256 MiB free instead of shrinking after every call.
-    Only the command-line entry point calls this: importing the library
-    leaves the host's allocator alone.  Without glibc's `mallopt` it
-    does nothing.  Sampling no longer needs it, since a reverse loop
-    reuses its own buffers (`numerics.buffer_pool`); training's taped
-    forwards and pullbacks still do.
-    """
-    path = ctypes.util.find_library("c")
-    if path is None:
-        return
-    try:
-        mallopt = ctypes.CDLL(path).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _pin_malloc_thresholds()
     try:
         args = build_parser().parse_args(argv)
         resolved = resolve_config(args.command, args)

@@ -39,10 +39,11 @@ branch on the future frames alone.
 
 Batches run in cache-sized groups (`_eval_groups`): consecutive calls
 whose (rows, model_dim) activation of future rows stays within
-`GROUP_BYTES`, G chains per call.  When an observation's r = B / M chains
-fit, a call holds G // r whole observations; otherwise each observation's
-chains go in calls of at most G, with that observation alone.  Either way
-each observation is encoded once per call.  A chain's row depends neither
+`GROUP_BYTES`, or half of it in training, G chains per call.  When an
+observation's r = B / M chains fit, a call holds G // r whole
+observations; otherwise each observation's chains go in calls of at most
+G, with that observation alone.  Either way each observation is encoded
+once per call.  A chain's row depends neither
 on its batch nor on N, so `eval_batch`'s groups give the bytes of one
 whole-batch call.  `training.train` runs each group on its own tape and
 sums the groups' gradients: every activation gradient keeps its bits, and
@@ -67,18 +68,25 @@ STEP_EMB_STD = 0.02   # init scale of the step-embedding table
 OUT_HEAD_SCALE = 0.05 # shrink output heads so initial predictions sit near zero
 
 # The largest (rows, model_dim) float64 activation of future rows that one
-# denoiser call builds, in inference and in training: 1.25 MiB, 8 chains
-# (2,400 rows) at CLI defaults.  A whole N = 50 call there streams 7.8 MB
-# per activation and 31 MB per feedforward hidden from DRAM; a group's
-# arrays stay near L2 size.  One N = 50 task at CLI defaults, under the
-# CLI's allocator settings, took 4.9-5.2 s unsplit, 3.9-4.4 s at 2,400 rows
-# per call, 4.2-4.7 s at 600 and 1,200 rows, and 4.5-5.9 s at 4,800 and
-# 9,600 rows.  Through the library with no allocator settings, where the
-# reverse loop's buffer pool keeps a group's temporaries from faulting in
-# fresh pages, it took 3.2-4.0 s at 2,400 rows per call (4.1-5.1 s without
-# the pool).  A perfbench-shaped `train` call (2 steps of batch 64, one
-# process per G, no allocator settings) ran at 47-70 items/s at G = 2, 4,
-# 8 and 16 chains, 41-54 at G = 32 and 38-46 at G = 64, the whole batch
+# untaped denoiser call builds: 1.25 MiB, 8 chains (2,400 rows) at CLI
+# defaults.  A whole N = 50 call there streams 7.8 MB per activation and
+# 31 MB per feedforward hidden from DRAM; a group's arrays stay near L2
+# size.  One N = 50 task at CLI defaults, with glibc's mmap and trim
+# thresholds pinned at 32 and 256 MiB, took 4.9-5.2 s unsplit, 3.9-4.4 s
+# at 2,400 rows per call, 4.2-4.7 s at 600 and 1,200 rows, and 4.5-5.9 s
+# at 4,800 and 9,600 rows.  Through the library with no allocator
+# settings, where the reverse loop's buffer pool keeps a group's
+# temporaries from faulting in fresh pages, it took 3.2-4.0 s at 2,400
+# rows per call (4.1-5.1 s without the pool).  A taped call, in training,
+# gets half the budget: 4 chains at CLI defaults.  Its tape keeps every
+# activation of the group until its backward, so the training pool's
+# slots hold a group's whole forward, where an untaped call frees each
+# activation once the next op has read it.  A perfbench-shaped `train`
+# call (2 steps of batch 64, in its pool) peaked at 128 MB RSS at G = 8,
+# 87 MB at G = 4, 67 MB at G = 2 and 57 MB at G = 1; alternating processes
+# ran it in 1.64-2.11 s at G = 4, 1.49-2.12 s at G = 2 and 1.47-1.75 s at
+# G = 1 (6 rounds).  Perfbench `train` ran 80.1 items/s at G = 4 in the
+# pool against 71.4 at G = 8 without one, the median of 10 ABBA pairs
 # (Xeon with 2 MiB of L2 per core, OpenBLAS at 1 thread).
 GROUP_BYTES = 5 << 18
 
@@ -284,17 +292,20 @@ def _encoder_layer(feat, leaves, prefix: str, n_heads: int, axis: int, rows=None
     return nm.feedforward(feat, *block(FEEDFORWARD_PARAMS))
 
 
-def _eval_groups(cfg: DenoiserConfig, m: int, b: int):
+def _eval_groups(cfg: DenoiserConfig, m: int, b: int, taped: bool = False):
     """(observation slice, chain slice) of each call over M observations, B chains.
 
     G chains fit one call: their (G * L * D, model_dim) float64 activation
-    stays within `GROUP_BYTES`, or G = 1.  When an observation's r = B / M
-    chains fit (r <= G), each call holds G // r whole observations and the
-    last call the rest: at M = B, as in training, that is ceil(B / G)
-    calls.  Otherwise each observation's chains go in calls of at most G,
-    each with that observation alone.
+    stays within `GROUP_BYTES`, or within half of it for a `taped` call,
+    which keeps every activation of its group until its backward; at least
+    G = 1.  When an observation's r = B / M chains fit (r <= G), each call
+    holds G // r whole observations and the last call the rest: at M = B,
+    as in training, that is ceil(B / G) calls.  Otherwise each
+    observation's chains go in calls of at most G, each with that
+    observation alone.
     """
-    g = max(1, GROUP_BYTES // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
+    budget = GROUP_BYTES // 2 if taped else GROUP_BYTES
+    g = max(1, budget // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
     r = b // m
     if r <= g:
         q = g // r

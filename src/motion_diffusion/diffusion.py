@@ -184,8 +184,8 @@ def _reverse_loop(model, p_obs: np.ndarray, noise: np.ndarray,
 
     Slice 0 of a chain's noise is its start state x_K; slice j >= 1 is
     z_{K+1-j}, the noise added at step K+1-j.  Step 1 adds no noise.  All
-    K steps share one `numerics.buffer_pool`, so each step's denoiser
-    calls reuse the memory of the step before.
+    K steps share one `numerics.buffer_pool`, the caller's if one is open,
+    so each step's denoiser calls reuse the memory of the step before.
     """
     n, k_steps = noise.shape[0], sched.k_steps
     x = noise[:, 0]

@@ -16,21 +16,24 @@ so a consumed tape can still be counted.
 Inference never touches a tape: wrap inputs with `constant` and the ops
 skip recording.
 
-A tape-free loop may also reuse its memory: `diffusion._reverse_loop`
-runs inside `buffer_pool()`.  There the large temporaries of a forward
-(GEMM outputs, the norm's two arrays, attention scores and context, the
-row gathers, and `add`, `mul` and `take_rows` outputs) come from
-`_alloc`, which hands out arrays over raw buffers (`bytearray` slots)
-that the pool keeps.  Outside a pool `_alloc` is `np.empty`, so training
-never sees one.  A hand-out is a fresh array over a slot's buffer, and
-every view of it has the hand-out as its base, so the slot is free again
-exactly when the hand-out and all its views are gone, which a weak
-reference tells.  An array a caller still holds is thus never
-overwritten, however late the caller copies it.  `_alloc` takes the
-smallest free slot that fits and makes a new one only when none does, so
-the pool stays near the forward's live set.  The ops write into the
-hand-outs with `out=`, which gives the bytes of a fresh array.  The open
-pool is a context variable: each thread has its own.
+A loop may reuse its memory by running inside `buffer_pool()`:
+`diffusion._reverse_loop` does, and so does each `training.train` call.
+There the large temporaries of a forward (GEMM outputs, the norm's two
+arrays, attention scores and context, the row gathers, and `add`, `mul`
+and `take_rows` outputs) and of a backward (the 2-D `_matmul_backward_a`
+product, the softmax, attention, layer-norm and `take_rows` gradients,
+and the sums `backward` accumulates) come from `_alloc`, which hands out
+arrays over raw buffers (`bytearray` slots) that the pool keeps.
+Outside a pool `_alloc` is `np.empty`.  A hand-out is a fresh array over
+a slot's buffer, and every view of it has the hand-out as its base, so
+the slot is free again exactly when the hand-out and all its views are
+gone, which a weak reference tells.  An array a caller or a tape's
+pullback still holds is thus never overwritten, however late it is read.
+`_alloc` takes the smallest free slot that fits and makes a new one only
+when none does, so the pool stays near the live set.  The ops write into
+the hand-outs with `out=`, which gives the bytes of a fresh array.  The
+open pool is a context variable: each thread has its own, and a
+`buffer_pool()` opened inside it joins it.
 
 `linear` fuses one GEMM-shaped step.  `attention_block` and `feedforward`
 fuse the two pre-norm blocks of an encoder layer, so a layer is two tape
@@ -171,12 +174,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         for in_id, gin in zip(rec.in_ids, pullback(g)):
             if in_id is not None:
                 acc = grads.get(in_id)
-                grads[in_id] = gin if acc is None else acc + gin
+                grads[in_id] = gin if acc is None else np.add(acc, gin, out=_alloc(acc.shape))
     return grads
 
 
 # ---------------------------------------------------------------------------
-# buffer pool for tape-free loops
+# buffer pool
 # ---------------------------------------------------------------------------
 
 
@@ -188,7 +191,10 @@ _POOL: contextvars.ContextVar[list | None] = contextvars.ContextVar("numerics_po
 
 @contextlib.contextmanager
 def buffer_pool():
-    """Let `_alloc` reuse buffers until the block exits; for tape-free loops only."""
+    """Let `_alloc` reuse buffers until the block exits; inside an open pool, join it."""
+    if _POOL.get() is not None:
+        yield
+        return
     token = _POOL.set([])
     try:
         yield
@@ -374,7 +380,8 @@ def _check_shapes(op, named):
 
 
 def _matmul_backward_a(g, b):
-    return np.matmul(g, np.swapaxes(b, -1, -2))
+    out = _alloc((len(g), len(b))) if g.ndim == b.ndim == 2 else None
+    return np.matmul(g, np.swapaxes(b, -1, -2), out=out)
 
 
 def _matmul_backward_b(g, a):
@@ -383,7 +390,7 @@ def _matmul_backward_b(g, a):
 
 def _softmax_backward(g, y):
     """y * (g - sum(g * y)) over the last axis, in one full-size array."""
-    gy = g * y
+    gy = np.multiply(g, y, out=_alloc(y.shape))
     s = gy.sum(axis=-1, keepdims=True)
     np.subtract(g, s, out=gy)
     gy *= y
@@ -399,9 +406,9 @@ def _attention_backward(g, q, k, v, p, n_heads, factor, axis):
     """
     heads = partial(_heads, n_heads=n_heads, axis=axis)
     gh = heads(g)
-    gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+    gq, gk, gv = _alloc(q.shape), _alloc(k.shape), _alloc(v.shape)
     np.matmul(np.swapaxes(p, -1, -2), gh, out=heads(gv))
-    gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v), -1, -2)), p)
+    gs = _softmax_backward(np.matmul(gh, np.swapaxes(heads(v), -1, -2), out=_alloc(p.shape)), p)
     gs *= factor
     np.matmul(gs, heads(k), out=heads(gq))
     np.matmul(np.swapaxes(gs, -1, -2), heads(q), out=heads(gk))
@@ -422,7 +429,8 @@ def _take_rows_backward(g, idx, shape):
     at a small part of `np.add.at`'s cost.  Repeated rows are accumulated
     in index order.
     """
-    z = np.zeros(shape)
+    z = _alloc(shape)
+    z.fill(0.0)
     flat = idx.ravel()
     rows = g.reshape(flat.shape + shape[1:])
     if np.unique(flat).size == flat.size:
@@ -434,8 +442,8 @@ def _take_rows_backward(g, idx, shape):
 
 def _layer_norm_backward_x(g, gain, y, inv):
     """inv * (h - mean(h) - y * mean(h * y)) for h = g * gain, in two full-size arrays."""
-    h = g * gain
-    hy = h * y
+    h = np.multiply(g, gain, out=_alloc(y.shape))
+    hy = np.multiply(h, y, out=_alloc(y.shape))
     m = hy.mean(axis=-1, keepdims=True)
     h -= h.mean(axis=-1, keepdims=True)
     np.multiply(y, m, out=hy)
@@ -461,7 +469,8 @@ def _linear_pullback(g, x2, w):
 
 def _layer_norm_pullback(g, gain, y, inv):
     """(dL/dx, dL/dgain, dL/dbias) of layer norm, from its kept y and inv."""
-    return _layer_norm_backward_x(g, gain, y, inv), _column_sums(g * y), _column_sums(g)
+    gx = _layer_norm_backward_x(g, gain, y, inv)
+    return gx, _column_sums(np.multiply(g, y, out=_alloc(y.shape))), _column_sums(g)
 
 
 # ---------------------------------------------------------------------------

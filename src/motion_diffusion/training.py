@@ -162,10 +162,12 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     Every iteration draws batch indices, per-item steps k in 1..K and
     fresh noise from the root stream, then applies one Adam update.  The
     batch runs as consecutive groups of chains (`denoiser._eval_groups`,
-    one observation per chain), each on its own tape: a group's loss is
-    its share of the batch mean, its backward runs at once and its tape
+    taped, one observation per chain), each on its own tape: a group's loss
+    is its share of the batch mean, its backward runs at once and its tape
     dies before the next group's forward, so the step's activations never
-    exceed one group's.  The gradients are summed in group order.  A batch
+    exceed one group's.  The whole call runs in one `numerics.buffer_pool`,
+    so each group's activations and pullback temporaries reuse the memory
+    of the group before.  The gradients are summed in group order.  A batch
     that fits one group gives the bits of one whole-batch step; more groups
     change the parameter gradients' row sums by a few ulps.
     Every run resumes from a Checkpoint: `start`, or for a fresh run the
@@ -208,34 +210,34 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     last_good = start
     losses: list[float] = []
     n, b = len(tasks), tr_cfg.batch_size
-    groups = [chains for _, chains in _eval_groups(den_cfg, b, b)]
-
-    for it in range(start.iteration + 1, tr_cfg.iterations + 1):
-        idx = rng.integers(0, n, size=b)
-        ks = rng.integers(1, sched.k_steps + 1, size=b)
-        eps = rng.standard_normal((b, den_cfg.l_pred, den_cfg.dim))
-        loss_val, grads = 0.0, None
-        try:
-            for chains in groups:
-                tape = nm.Tape()
-                loss_t, leaves = batch_noise_loss(model, tape, obs[idx[chains]],
-                                                  gt[idx[chains]], ks[chains], eps[chains],
-                                                  sched, eps.size)
-                # each group loss is op-checked finite and >= 0: a total past the limit diverged
-                loss_val += float(loss_t.data)
-                if loss_val > DIVERGE_LIMIT:
-                    raise TrainingDivergedError(f"loss {loss_val} exceeded limits", it)
-                part = tape.gradients(loss_t, leaves)
-                grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
-                # the next group's forward must not run beside this group's tape
-                del tape, loss_t, leaves, part
-            adam_step(model.params, grads, m, v, it, tr_cfg)
-        except (NumericsError, TrainingDivergedError) as exc:
-            raise TrainingDivergedError(getattr(exc, "message", str(exc)), it,
-                                        checkpoint=last_good) from exc
-        losses.append(loss_val)
-        if it % tr_cfg.checkpoint_every == 0:
-            last_good = _snapshot(start, model, m, v, it, rng)
+    groups = [chains for _, chains in _eval_groups(den_cfg, b, b, taped=True)]
+    with nm.buffer_pool():
+        for it in range(start.iteration + 1, tr_cfg.iterations + 1):
+            idx = rng.integers(0, n, size=b)
+            ks = rng.integers(1, sched.k_steps + 1, size=b)
+            eps = rng.standard_normal((b, den_cfg.l_pred, den_cfg.dim))
+            loss_val, grads = 0.0, None
+            try:
+                for chains in groups:
+                    tape = nm.Tape()
+                    loss_t, leaves = batch_noise_loss(model, tape, obs[idx[chains]],
+                                                      gt[idx[chains]], ks[chains], eps[chains],
+                                                      sched, eps.size)
+                    # each group loss is op-checked finite and >= 0: past the limit, it diverged
+                    loss_val += float(loss_t.data)
+                    if loss_val > DIVERGE_LIMIT:
+                        raise TrainingDivergedError(f"loss {loss_val} exceeded limits", it)
+                    part = tape.gradients(loss_t, leaves)
+                    grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
+                    # the next group's forward must not run beside this group's tape
+                    del tape, loss_t, leaves, part
+                adam_step(model.params, grads, m, v, it, tr_cfg)
+            except (NumericsError, TrainingDivergedError) as exc:
+                raise TrainingDivergedError(getattr(exc, "message", str(exc)), it,
+                                            checkpoint=last_good) from exc
+            losses.append(loss_val)
+            if it % tr_cfg.checkpoint_every == 0:
+                last_good = _snapshot(start, model, m, v, it, rng)
 
     final = _snapshot(start, model, m, v, tr_cfg.iterations, rng)
     return TrainResult(model=model, checkpoint=final, losses=losses)

@@ -1,9 +1,8 @@
 """End-to-end command-line pipeline: config resolution, artifacts,
 determinism contracts, and exit codes."""
 
+import ast
 import csv
-import ctypes
-import ctypes.util
 import glob
 import json
 import os
@@ -390,6 +389,36 @@ class TestSampleCmd:
             for name in entry["files"]:
                 assert md.load_motion_file(
                     os.path.join(task_dir, name)).frames.shape == (5, 6)
+
+    @pytest.mark.parametrize("mode", ["stochastic", "deterministic"])
+    def test_every_task_runs_in_one_pool(self, tmp_path, checkpoint, dataset, monkeypatch,
+                                         mode):
+        # the run's pool outlives each task, so a later task makes no new slot
+        true_alloc, pools, grown = nm._alloc, [], []
+        task = [0]
+
+        def alloc(shape):
+            pools.append(nm._POOL.get())
+            before = len(pools[-1])
+            arr = true_alloc(shape)
+            grown.append((task[0], len(pools[-1]) > before))
+            return arr
+
+        def counted(sampler):
+            def run(*args):
+                task[0] += 1
+                return sampler(*args)
+            return run
+
+        monkeypatch.setattr(nm, "_alloc", alloc)
+        for name in ("sample_stochastic", "sample_deterministic"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        self.sample(tmp_path / "s", checkpoint, dataset, "--mode", mode, "--n", "3",
+                    "--limit", "3")
+        assert task[0] == 3
+        assert len({id(pool) for pool in pools}) == 1
+        assert {t for t, new in grown if new} == {1}
+        assert nm._POOL.get() is None
 
     def test_same_seed_reproduces_bytes(self, tmp_path, checkpoint, dataset):
         extra = ("--n", "2", "--seed", "5", "--limit", "1")
@@ -911,18 +940,35 @@ class TestGradcheckCmd:
                      "--probes", "1"]) == 1
 
 
-class TestAllocatorPin:
-    def test_main_runs_without_libc(self, tmp_path, monkeypatch):
-        # where no C library can be found the pin is skipped silently
-        monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
-        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "2",
-                     "--n-sequences", "1", "--frames", "10"]) == 0
+def _imported_modules(source: str) -> list[str]:
+    """The top-level package of every module that `source` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+    return found
 
-    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch):
-        # a C library without glibc's mallopt (musl, macOS) is skipped too
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-        assert main(["synth", "--out", str(tmp_path / "s"), "--n-joints", "2",
-                     "--n-sequences", "1", "--frames", "10"]) == 0
+
+def test_no_module_touches_the_host_allocator():
+    # memory reuse is the buffer pool's: no module reaches the C library
+    src = os.path.dirname(md.__file__)
+    importers = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                if "ctypes" in _imported_modules(fh.read()):
+                    importers.append(name)
+    assert importers == []
+
+
+@pytest.mark.parametrize("source", [
+    "import ctypes\n", "import os, ctypes.util\n", "from ctypes import CDLL\n",
+    "def f():\n    import ctypes.util as u\n",
+])
+def test_the_import_scan_sees_ctypes(source):
+    assert "ctypes" in _imported_modules(source)
 
 
 # each builds argv from (a directory, the dataset manifest, the checkpoint)

@@ -371,16 +371,18 @@ class TestEvalGroups:
 
     @pytest.mark.parametrize("b", [1, 7, 8, 9, 64, 65])
     def test_one_observation_per_chain_fills_each_call(self, b):
-        # training's batches (M = B): ceil(B / G) calls of G consecutive
-        # chains, G = 8 at CLI defaults, and the rest in the last call
+        # one observation per chain (M = B): ceil(B / G) calls of G
+        # consecutive chains and the rest in the last call; at CLI defaults
+        # G = 8 untaped and 4 in training's taped groups, at half the budget
         cfg = DenoiserConfig(variant="series", k_steps=20, **CLI_SHAPE)
-        g = dn.GROUP_BYTES // chain_bytes(cfg)
-        assert g == 8
-        groups = dn._eval_groups(cfg, b, b)
-        assert len(groups) == -(-b // g)
-        assert [obs for obs, _ in groups] == [chains for _, chains in groups]
-        assert [(s.start, s.stop) for _, s in groups] == [
-            (i, min(i + g, b)) for i in range(0, b, g)]
+        for taped, share, want in ((False, 1, 8), (True, 2, 4)):
+            g = dn.GROUP_BYTES // share // chain_bytes(cfg)
+            assert g == want
+            groups = dn._eval_groups(cfg, b, b, taped=taped)
+            assert len(groups) == -(-b // g)
+            assert [obs for obs, _ in groups] == [chains for _, chains in groups]
+            assert [(s.start, s.stop) for _, s in groups] == [
+                (i, min(i + g, b)) for i in range(0, b, g)]
 
     @pytest.mark.parametrize("variant", ["series", "parallel"])
     def test_gemm_rows_stay_within_the_budget(self, variant, monkeypatch):

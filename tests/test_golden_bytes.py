@@ -3,8 +3,9 @@
 `cli.main` runs synth → export → train → train --resume → sample
 (stochastic) → sample (deterministic) → eval in-process at gradcheck's
 TOY shape, for both denoiser variants, twice: once with
-`denoiser.GROUP_BYTES` cut so that a training batch and an N-sample batch
-each span 2 groups, and once as shipped.  Every file except run_manifest.json (it records paths) must
+`denoiser.GROUP_BYTES` cut so that an N-sample batch spans 2 groups and a
+training batch, whose taped groups get half the budget, spans 4, and once
+as shipped.  Every file except run_manifest.json (it records paths) must
 hash to its digest in golden_digests.json.
 
 Digests hold for one numpy, BLAS and machine architecture, recorded beside
@@ -34,7 +35,8 @@ from motion_diffusion.gradcheck import TOY_CONFIG
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 VARIANTS = ("series", "parallel")
 BATCH, N_SAMPLES = 4, 3
-# two chains' (L * D, model_dim) float64 activation: groups of 2 chains
+# one chain's (L * D, model_dim) float64 activation; twice that makes groups
+# of 2 chains, and taped training groups of 1
 CHAIN_BYTES = TOY_CONFIG["l_pred"] * TOY_CONFIG["dim"] * TOY_CONFIG["model_dim"] * 8
 BUDGETS = {"two-chain-groups": 2 * CHAIN_BYTES, "shipped": dn.GROUP_BYTES}
 
@@ -105,7 +107,7 @@ def test_pipeline_bytes_match_the_golden_digests(tmp_path, monkeypatch, variant,
     monkeypatch.setattr(dn, "GROUP_BYTES", BUDGETS[budget])
     if budget == "two-chain-groups":
         cfg = dn.DenoiserConfig(variant=variant, **TOY_CONFIG)
-        assert len(dn._eval_groups(cfg, BATCH, BATCH)) == 2  # a training batch
+        assert len(dn._eval_groups(cfg, BATCH, BATCH, taped=True)) == 4  # a training batch
         assert len(dn._eval_groups(cfg, 1, N_SAMPLES)) == 2  # one task's samples
     got = pipeline_digests(tmp_path, variant)
     want = golden["digests"][f"{variant}/{budget}"]

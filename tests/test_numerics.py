@@ -752,3 +752,15 @@ def test_alloc_outside_a_pool_is_a_plain_array():
     with nm.buffer_pool():
         assert not nm._alloc((2, 3)).flags.owndata
     assert nm._POOL.get() is None
+
+
+def test_a_nested_pool_joins_the_open_one():
+    # an inner `buffer_pool` hands out the outer pool's slots and leaves it open
+    with nm.buffer_pool():
+        outer = nm._POOL.get()
+        nm._alloc((4, 3))
+        with nm.buffer_pool():
+            assert nm._POOL.get() is outer
+            nm._alloc((3, 4))
+        assert nm._POOL.get() is outer and len(outer) == 1
+    assert nm._POOL.get() is None

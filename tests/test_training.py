@@ -1,6 +1,7 @@
 """Adam updates, training-loop reproducibility, divergence handling,
 and checkpoint persistence."""
 
+import contextlib
 import json
 import re
 import tracemalloc
@@ -372,6 +373,7 @@ class TestTrainLoop:
         # each record's pullback holds its group's activations: a tape alive
         # through the next group's forward doubles the resident activations;
         # a batch of 8 runs one loss per step in one group, 3 in groups of 3
+        # (a taped group gets half the budget)
         true_loss = training.batch_noise_loss
         for group, per_step in ((8, 1), (3, 3)):
             tapes = []
@@ -381,7 +383,7 @@ class TestTrainLoop:
                 tapes.append(weakref.ref(tape))
                 return true_loss(model, tape, *args)
 
-            monkeypatch.setattr(dn, "GROUP_BYTES", group * chain_bytes(toy_den_cfg()))
+            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(toy_den_cfg()))
             monkeypatch.setattr(training, "batch_noise_loss", loss)
             quick_train(iterations=3)
             assert len(tapes) == 3 * per_step
@@ -508,6 +510,92 @@ class TestGroupedSteps:
             assert loss == pytest.approx(want_loss, rel=1e-12)
             for name, g in want.items():
                 assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+class TestTrainingPool:
+    """`train` runs in one `numerics.buffer_pool`, so its taped groups reuse memory."""
+
+    @pytest.mark.parametrize("group", [None, 2])
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_pooled_training_gives_the_bytes_of_unpooled(self, variant, group, tmp_path,
+                                                          monkeypatch):
+        # as shipped a batch of 8 is one group; at group=2, 4 taped groups
+        cfg = toy_den_cfg(variant)
+        if group is not None:
+            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(cfg))
+        assert len(dn._eval_groups(cfg, 8, 8, taped=True)) == (1 if group is None else 4)
+        tr = TrainConfig(batch_size=8, iterations=3, lr=1e-3, seed=3, checkpoint_every=2)
+        runs = {}
+        for pooled in (True, False):
+            with monkeypatch.context() as patch:
+                if not pooled:  # `_alloc` is then `np.empty` throughout
+                    patch.setattr(nm, "buffer_pool", contextlib.nullcontext)
+                result = md.train(toy_tasks(cfg), cfg, tr, toy_sched(cfg))
+            path = tmp_path / f"{pooled}.ckpt"
+            training.save_checkpoint(result.checkpoint, path)
+            runs[pooled] = result, path.read_bytes()
+        (got, got_file), (want, want_file) = runs[True], runs[False]
+        assert [x.hex() for x in got.losses] == [x.hex() for x in want.losses]
+        for name in ("params", "adam_m", "adam_v"):
+            for key, arr in getattr(want.checkpoint, name).items():
+                assert getattr(got.checkpoint, name)[key].tobytes() == arr.tobytes(), key
+        assert got_file == want_file
+
+    def test_held_gradients_survive_the_next_group(self):
+        # a gradient that one group's backward hands out from the pool keeps
+        # its bytes through the next group's forward and backward
+        cfg = toy_den_cfg()
+        model = md.init_denoiser(cfg, seed=0)
+        sched = toy_sched(cfg)
+        rng = np.random.default_rng(0)
+
+        def group_gradients():
+            tape = nm.Tape()
+            loss, leaves = md.batch_noise_loss(
+                model, tape, rng.normal(size=(4, cfg.t_obs, cfg.dim)),
+                rng.normal(size=(4, cfg.l_pred, cfg.dim)),
+                rng.integers(1, cfg.k_steps + 1, size=4),
+                rng.normal(size=(4, cfg.l_pred, cfg.dim)), sched)
+            return tape.gradients(loss, leaves)
+
+        with nm.buffer_pool():
+            first = group_gradients()
+            pooled = [k for k, g in first.items() if isinstance(g.base, bytearray)]
+            assert pooled  # the step embedding's gradient, at least
+            kept = {k: g.tobytes() for k, g in first.items()}
+            second = group_gradients()
+        assert {k: g.tobytes() for k, g in first.items()} == kept
+        assert any(second[k].tobytes() != kept[k] for k in pooled)
+
+    @pytest.mark.parametrize("group", [None, 3])
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_pool_stops_growing_after_the_first_iteration(self, variant, group,
+                                                          monkeypatch):
+        # every later iteration runs in the slots of the first: a leak, or a
+        # shape that drifts between iterations, would add one
+        cfg = toy_den_cfg(variant)
+        if group is not None:  # taped groups of 3, 3 and 2 chains
+            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(cfg))
+        true_alloc, true_adam = nm._alloc, training.adam_step
+        iteration, grown = [1], []
+
+        def alloc(shape):
+            slots = nm._POOL.get()
+            before = len(slots)
+            arr = true_alloc(shape)
+            if len(slots) > before:
+                grown.append(iteration[0])
+            return arr
+
+        def adam(*args):
+            true_adam(*args)
+            iteration[0] += 1
+
+        monkeypatch.setattr(nm, "_alloc", alloc)
+        monkeypatch.setattr(training, "adam_step", adam)
+        quick_train(variant, iterations=3)
+        assert iteration[0] == 4
+        assert grown and set(grown) == {1}
 
 
 class TestCheckpointIO:
