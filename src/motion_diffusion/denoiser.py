@@ -39,7 +39,7 @@ branch on the future frames alone.
 
 Batches run in cache-sized groups (`_eval_groups`): consecutive calls
 whose (rows, model_dim) activation of future rows stays within
-`GROUP_BYTES`, or half of it in training, G chains per call.  When an
+`GROUP_BYTES`, or a fifth of it in training, G chains per call.  When an
 observation's r = B / M chains fit, a call holds G // r whole
 observations; otherwise each observation's chains go in calls of at most
 G, with that observation alone.  Either way each observation is encoded
@@ -54,6 +54,7 @@ group keeps every bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,20 @@ OUT_HEAD_SCALE = 0.05 # shrink output heads so initial predictions sit near zero
 # settings, where the reverse loop's buffer pool keeps a group's
 # temporaries from faulting in fresh pages, it took 3.2-4.0 s at 2,400
 # rows per call (4.1-5.1 s without the pool).  A taped call, in training,
-# gets half the budget: 4 chains at CLI defaults.  Its tape keeps every
-# activation of the group until its backward, so the training pool's
-# slots hold a group's whole forward, where an untaped call frees each
-# activation once the next op has read it.  A perfbench-shaped `train`
-# call (2 steps of batch 64, in its pool) peaked at 128 MB RSS at G = 8,
-# 87 MB at G = 4, 67 MB at G = 2 and 57 MB at G = 1; alternating processes
-# ran it in 1.64-2.11 s at G = 4, 1.49-2.12 s at G = 2 and 1.47-1.75 s at
-# G = 1 (6 rounds).  Perfbench `train` ran 80.1 items/s at G = 4 in the
-# pool against 71.4 at G = 8 without one, the median of 10 ABBA pairs
-# (Xeon with 2 MiB of L2 per core, OpenBLAS at 1 thread).
+# gets a fifth of the budget, 256 KiB: 1 chain at CLI defaults, and a whole
+# TOY batch of 32 (7.5 KiB chains).  Its tape keeps every activation of the
+# group until its backward, so the training pool's slots hold a group's
+# whole forward, where an untaped call frees each activation once the next
+# op has read it.  A CLI-default batch-4 step's pool holds 9.55 MiB at
+# G = 1 and 38.2 MiB at G = 4.  Three perfbench-shaped `train` calls (2
+# steps of batch 64 each, in its pool) in one process peaked at 90 MB RSS
+# at G = 4, 70 MB at G = 2 and 60 MB at G = 1; over 4 rounds of
+# alternating processes their second and third calls took 1.98-2.35 s at
+# G = 4, 1.91-2.49 s at G = 2 and 2.07-2.37 s at G = 1.  Perfbench `train`
+# peaked at 58.4 MB at G = 1 against 89.4 MB at G = 4 (13 of 13 ABBA
+# pairs), at 62.7 against 61.0 items/s (medians of 10 pairs); at G = 4 in
+# the pool it had run 80.1 items/s against 71.4 at G = 8 without one (Xeon
+# with 2 MiB of L2 per core, OpenBLAS at 1 thread).
 GROUP_BYTES = 5 << 18
 
 
@@ -249,8 +254,13 @@ def init_denoiser(config: DenoiserConfig, seed: int) -> DenoiserModel:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
-    """Sinusoid table: PE[p, 2i] = sin(p / 10000^(2i/dim)), PE[p, 2i+1] = cos."""
+    """Sinusoid table: PE[p, 2i] = sin(p / 10000^(2i/dim)), PE[p, 2i+1] = cos.
+
+    Built once per (axis_len, model_dim) and shared by every forward, so it
+    is read-only: a write into it raises ValueError.
+    """
     check_count(axis_len, 1, "axis_len", ConfigError)
     if check_count(model_dim, 2, "model_dim", ConfigError) % 2:
         raise ConfigError(f"model_dim must be even, got {model_dim}")
@@ -259,6 +269,7 @@ def positional_encoding(axis_len: int, model_dim: int) -> np.ndarray:
     table = np.empty((axis_len, model_dim))
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq)
+    table.setflags(write=False)
     return table
 
 
@@ -296,15 +307,15 @@ def _eval_groups(cfg: DenoiserConfig, m: int, b: int, taped: bool = False):
     """(observation slice, chain slice) of each call over M observations, B chains.
 
     G chains fit one call: their (G * L * D, model_dim) float64 activation
-    stays within `GROUP_BYTES`, or within half of it for a `taped` call,
+    stays within `GROUP_BYTES`, or within a fifth of it for a `taped` call,
     which keeps every activation of its group until its backward; at least
-    G = 1.  When an observation's r = B / M chains fit (r <= G), each call
-    holds G // r whole observations and the last call the rest: at M = B,
-    as in training, that is ceil(B / G) calls.  Otherwise each
-    observation's chains go in calls of at most G, each with that
-    observation alone.
+    G = 1.  At CLI defaults that is G = 8 untaped and G = 1 taped.  When
+    an observation's r = B / M chains fit (r <= G), each call holds G // r
+    whole observations and the last call the rest: at M = B, as in
+    training, that is ceil(B / G) calls.  Otherwise each observation's
+    chains go in calls of at most G, each with that observation alone.
     """
-    budget = GROUP_BYTES // 2 if taped else GROUP_BYTES
+    budget = GROUP_BYTES // 5 if taped else GROUP_BYTES
     g = max(1, budget // (cfg.l_pred * cfg.dim * cfg.model_dim * 8))
     r = b // m
     if r <= g:

@@ -29,10 +29,11 @@ a slot's buffer, and every view of it has the hand-out as its base, so
 the slot is free again exactly when the hand-out and all its views are
 gone, which a weak reference tells.  An array a caller or a tape's
 pullback still holds is thus never overwritten, however late it is read.
-`_alloc` takes the smallest free slot that fits and makes a new one only
-when none does, so the pool stays near the live set.  The ops write into
-the hand-outs with `out=`, which gives the bytes of a fresh array.  The
-open pool is a context variable: each thread has its own, and a
+`_alloc` takes the smallest free slot that fits, bisecting a list of the
+slots' sizes for the first one large enough, and makes a new one only
+when none is free, so the pool stays near the live set.  The ops write
+into the hand-outs with `out=`, which gives the bytes of a fresh array.
+The open pool is a context variable: each thread has its own, and a
 `buffer_pool()` opened inside it joins it.
 
 `linear` fuses one GEMM-shaped step.  `attention_block` and `feedforward`
@@ -183,10 +184,22 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# The open pool: its slots, each [bytearray, weak reference to its last
-# hand-out], in size order, so the first free one that fits is the smallest.
-_POOL: contextvars.ContextVar[list | None] = contextvars.ContextVar("numerics_pool",
-                                                                   default=None)
+class _Slots(list):
+    """The open pool: its slots, each [bytearray, weak reference to its last
+    hand-out], in size order, so the first free one that fits is the
+    smallest; `sizes` holds their byte counts in the same order, so
+    `bisect` finds the first slot large enough in C, without a key
+    function."""
+
+    __slots__ = ("sizes",)
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+
+_POOL: contextvars.ContextVar[_Slots | None] = contextvars.ContextVar("numerics_pool",
+                                                                     default=None)
 
 
 @contextlib.contextmanager
@@ -195,7 +208,7 @@ def buffer_pool():
     if _POOL.get() is not None:
         yield
         return
-    token = _POOL.set([])
+    token = _POOL.set(_Slots())
     try:
         yield
     finally:
@@ -208,12 +221,15 @@ def _alloc(shape) -> np.ndarray:
     if slots is None:
         return np.empty(shape)
     nbytes = 8 * math.prod(shape)
-    for slot in slots:
-        if len(slot[0]) >= nbytes and slot[1]() is None:
+    fits = bisect.bisect_left(slots.sizes, nbytes)
+    for slot in slots[fits:]:
+        if slot[1]() is None:
             break
     else:
         slot = [bytearray(nbytes), None]
-        bisect.insort(slots, slot, key=lambda sl: len(sl[0]))
+        at = bisect.bisect_right(slots.sizes, nbytes, fits)
+        slots.insert(at, slot)
+        slots.sizes.insert(at, nbytes)
     arr = np.ndarray(shape, buffer=slot[0])
     slot[1] = weakref.ref(arr)
     return arr

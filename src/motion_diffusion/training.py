@@ -162,14 +162,16 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
     Every iteration draws batch indices, per-item steps k in 1..K and
     fresh noise from the root stream, then applies one Adam update.  The
     batch runs as consecutive groups of chains (`denoiser._eval_groups`,
-    taped, one observation per chain), each on its own tape: a group's loss
-    is its share of the batch mean, its backward runs at once and its tape
-    dies before the next group's forward, so the step's activations never
+    taped, one observation per chain: one chain per group at CLI defaults,
+    a whole TOY batch in one), each on its own tape: a group's loss is its
+    share of the batch mean, its backward runs at once and its tape dies
+    before the next group's forward, so the step's activations never
     exceed one group's.  The whole call runs in one `numerics.buffer_pool`,
     so each group's activations and pullback temporaries reuse the memory
-    of the group before.  The gradients are summed in group order.  A batch
-    that fits one group gives the bits of one whole-batch step; more groups
-    change the parameter gradients' row sums by a few ulps.
+    of the group before.  The gradients are summed in group order, in
+    place into a copy of the first group's.  A batch that fits one group
+    gives the bits of one whole-batch step; more groups change the
+    parameter gradients' row sums by a few ulps.
     Every run resumes from a Checkpoint: `start`, or for a fresh run the
     `initial_checkpoint` of tr_cfg.seed and `normalizer` (the identity if
     omitted).  The continuation is bit identical to an uninterrupted run
@@ -228,7 +230,11 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
                     if loss_val > DIVERGE_LIMIT:
                         raise TrainingDivergedError(f"loss {loss_val} exceeded limits", it)
                     part = tape.gradients(loss_t, leaves)
-                    grads = part if grads is None else {k: grads[k] + g for k, g in part.items()}
+                    if grads is None:  # a private sum: `part` may hold pool slots
+                        grads = {k: g.copy() for k, g in part.items()}
+                    else:
+                        for k, g in part.items():
+                            grads[k] += g
                     # the next group's forward must not run beside this group's tape
                     del tape, loss_t, leaves, part
                 adam_step(model.params, grads, m, v, it, tr_cfg)

@@ -951,16 +951,32 @@ def _imported_modules(source: str) -> list[str]:
     return found
 
 
-def test_no_module_touches_the_host_allocator():
-    # memory reuse is the buffer pool's: no module reaches the C library
+def _src_imports() -> dict[str, list[str]]:
+    """The `_imported_modules` of every module of the package, by file name."""
     src = os.path.dirname(md.__file__)
-    importers = []
+    found = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
-                if "ctypes" in _imported_modules(fh.read()):
-                    importers.append(name)
-    assert importers == []
+                found[name] = _imported_modules(fh.read())
+    return found
+
+
+def _foreign(modules: list[str]) -> list[str]:
+    """The modules that are neither the standard library's nor numpy."""
+    return [m for m in modules if m not in sys.stdlib_module_names and m != "numpy"]
+
+
+def test_no_module_touches_the_host_allocator():
+    # memory reuse is the buffer pool's: no module reaches the C library
+    assert [name for name, mods in _src_imports().items() if "ctypes" in mods] == []
+
+
+def test_every_module_imports_only_the_stdlib_numpy_and_its_package():
+    # pyproject.toml declares numpy alone, and perfbench's `setup_s` times a
+    # fresh `import motion_diffusion`; package-relative imports are not listed
+    assert {name: _foreign(mods) for name, mods in _src_imports().items()
+            if _foreign(mods)} == {}
 
 
 @pytest.mark.parametrize("source", [
@@ -969,6 +985,12 @@ def test_no_module_touches_the_host_allocator():
 ])
 def test_the_import_scan_sees_ctypes(source):
     assert "ctypes" in _imported_modules(source)
+
+
+def test_the_import_scan_sees_a_foreign_module():
+    source = ("import json, numpy as np\nfrom . import numerics\n"
+              "def f():\n    from scipy.linalg import solve\n")
+    assert _foreign(_imported_modules(source)) == ["scipy"]
 
 
 # each builds argv from (a directory, the dataset manifest, the checkpoint)

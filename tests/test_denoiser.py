@@ -96,6 +96,18 @@ class TestPositionalEncoding:
         with pytest.raises(ConfigError):
             positional_encoding(4, 7)
 
+    def test_one_shared_read_only_table_per_shape(self):
+        # every forward reads the same table, so no caller may write into it
+        pe = positional_encoding(6, 8)
+        assert positional_encoding(6, 8) is pe
+        assert positional_encoding(7, 8) is not pe
+        before = pe.copy()
+        with pytest.raises(ValueError):
+            pe[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            pe += 1.0
+        np.testing.assert_array_equal(positional_encoding(6, 8), before)
+
 
 def param_count(cfg) -> int:
     return sum(int(np.prod(shape)) for shape in param_shapes(cfg).values())
@@ -373,9 +385,10 @@ class TestEvalGroups:
     def test_one_observation_per_chain_fills_each_call(self, b):
         # one observation per chain (M = B): ceil(B / G) calls of G
         # consecutive chains and the rest in the last call; at CLI defaults
-        # G = 8 untaped and 4 in training's taped groups, at half the budget
+        # G = 8 untaped and 1 in training's taped groups, at a fifth of the
+        # budget
         cfg = DenoiserConfig(variant="series", k_steps=20, **CLI_SHAPE)
-        for taped, share, want in ((False, 1, 8), (True, 2, 4)):
+        for taped, share, want in ((False, 1, 8), (True, 5, 1)):
             g = dn.GROUP_BYTES // share // chain_bytes(cfg)
             assert g == want
             groups = dn._eval_groups(cfg, b, b, taped=taped)

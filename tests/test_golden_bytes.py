@@ -4,7 +4,7 @@
 (stochastic) → sample (deterministic) → eval in-process at gradcheck's
 TOY shape, for both denoiser variants, twice: once with
 `denoiser.GROUP_BYTES` cut so that an N-sample batch spans 2 groups and a
-training batch, whose taped groups get half the budget, spans 4, and once
+training batch, whose taped groups get a fifth of the budget, spans 4, and once
 as shipped.  Every file except run_manifest.json (it records paths) must
 hash to its digest in golden_digests.json.
 

@@ -4,6 +4,7 @@ determinism, and the error contract."""
 import gc
 import importlib.util
 import inspect
+import math
 import os
 import re
 import weakref
@@ -764,3 +765,35 @@ def test_a_nested_pool_joins_the_open_one():
             nm._alloc((3, 4))
         assert nm._POOL.get() is outer and len(outer) == 1
     assert nm._POOL.get() is None
+
+
+@given(steps=st.lists(st.tuples(st.lists(st.integers(0, 6), max_size=3), st.booleans(),
+                                st.integers(0, 3)), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_alloc_takes_the_slot_a_linear_scan_takes(steps):
+    # each step asks for a shape, keeps its hand-out or drops it at once,
+    # and may drop one hand-out kept before; the oracle keeps the slots in
+    # size order, a new one after those of its size, and scans them from
+    # the smallest for the first free one that fits
+    oracle, held = [], []  # oracle: [buffer, weak reference to its last hand-out]
+    with nm.buffer_pool():
+        for shape, keep, drop in steps:
+            nbytes = 8 * math.prod(shape)
+            want = next((slot for slot in oracle
+                         if len(slot[0]) >= nbytes and slot[1]() is None), None)
+            arr = nm._alloc(tuple(shape))
+            if want is None:
+                assert all(arr.base is not slot[0] for slot in oracle)
+                want = [arr.base, None]
+                oracle.insert(sum(len(slot[0]) <= nbytes for slot in oracle), want)
+            assert arr.base is want[0] and arr.shape == tuple(shape)
+            want[1] = weakref.ref(arr)
+            if keep:
+                held.append(arr)
+            del arr
+            if held and drop:
+                held.pop(drop % len(held))
+        pool = nm._POOL.get()
+        assert len(pool) == len(oracle)
+        assert all(slot[0] is kept[0] for slot, kept in zip(pool, oracle))
+        assert pool.sizes == [len(slot[0]) for slot in oracle]

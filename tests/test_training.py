@@ -18,6 +18,7 @@ import motion_diffusion.training as training
 from motion_diffusion import denoiser as dn
 from motion_diffusion.errors import (ConfigError, ContractError, DimensionError,
                                      IntegrityError, NumericsError, TrainingDivergedError)
+from motion_diffusion.gradcheck import TOY_CONFIG as GRADCHECK_TOY
 from motion_diffusion.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig,
                                        adam_step, initial_checkpoint)
 
@@ -373,7 +374,7 @@ class TestTrainLoop:
         # each record's pullback holds its group's activations: a tape alive
         # through the next group's forward doubles the resident activations;
         # a batch of 8 runs one loss per step in one group, 3 in groups of 3
-        # (a taped group gets half the budget)
+        # (a taped group gets a fifth of the budget)
         true_loss = training.batch_noise_loss
         for group, per_step in ((8, 1), (3, 3)):
             tapes = []
@@ -383,7 +384,7 @@ class TestTrainLoop:
                 tapes.append(weakref.ref(tape))
                 return true_loss(model, tape, *args)
 
-            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(toy_den_cfg()))
+            monkeypatch.setattr(dn, "GROUP_BYTES", 5 * group * chain_bytes(toy_den_cfg()))
             monkeypatch.setattr(training, "batch_noise_loss", loss)
             quick_train(iterations=3)
             assert len(tapes) == 3 * per_step
@@ -520,9 +521,10 @@ class TestTrainingPool:
     def test_pooled_training_gives_the_bytes_of_unpooled(self, variant, group, tmp_path,
                                                           monkeypatch):
         # as shipped a batch of 8 is one group; at group=2, 4 taped groups
+        # (a taped group gets a fifth of the budget)
         cfg = toy_den_cfg(variant)
         if group is not None:
-            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(cfg))
+            monkeypatch.setattr(dn, "GROUP_BYTES", 5 * group * chain_bytes(cfg))
         assert len(dn._eval_groups(cfg, 8, 8, taped=True)) == (1 if group is None else 4)
         tr = TrainConfig(batch_size=8, iterations=3, lr=1e-3, seed=3, checkpoint_every=2)
         runs = {}
@@ -575,7 +577,8 @@ class TestTrainingPool:
         # shape that drifts between iterations, would add one
         cfg = toy_den_cfg(variant)
         if group is not None:  # taped groups of 3, 3 and 2 chains
-            monkeypatch.setattr(dn, "GROUP_BYTES", 2 * group * chain_bytes(cfg))
+            monkeypatch.setattr(dn, "GROUP_BYTES", 5 * group * chain_bytes(cfg))
+        assert len(dn._eval_groups(cfg, 8, 8, taped=True)) == (1 if group is None else 3)
         true_alloc, true_adam = nm._alloc, training.adam_step
         iteration, grown = [1], []
 
@@ -596,6 +599,38 @@ class TestTrainingPool:
         quick_train(variant, iterations=3)
         assert iteration[0] == 4
         assert grown and set(grown) == {1}
+
+
+class TestTrainingGroupBudget:
+    """A taped group gets a fifth of `GROUP_BYTES`: one chain at CLI defaults."""
+
+    @pytest.mark.parametrize("variant", ["series", "parallel"])
+    def test_a_cli_default_step_keeps_a_small_pool(self, variant, monkeypatch):
+        # the pool holds one taped group's forward: 9.55 MiB (series) and
+        # 7.57 MiB (parallel) in one-chain groups, 38.2 and 30.3 in groups of 4
+        cfg = toy_den_cfg(variant, model_dim=64, n_heads=4, t_obs=16, l_pred=20,
+                          dim=15, k_steps=20)
+        true_pool, pools = nm.buffer_pool, []
+
+        @contextlib.contextmanager
+        def spy():
+            with true_pool():
+                pools.append(nm._POOL.get())
+                yield
+
+        monkeypatch.setattr(nm, "buffer_pool", spy)
+        md.train(toy_tasks(cfg, n=4), cfg, TrainConfig(batch_size=4, iterations=1, seed=0),
+                 toy_sched(cfg))
+        assert len(pools) == 1
+        assert sum(len(buf) for buf, _ in pools[0]) <= 12 << 20
+
+    @pytest.mark.parametrize("cfg", [md.DenoiserConfig(variant="series", **GRADCHECK_TOY),
+                                     toy_den_cfg()], ids=["gradcheck-toy", "test-toy"])
+    def test_every_toy_batch_of_32_is_one_group(self, cfg):
+        # the overfit run, the golden pipeline and perfbench's `pipeline`
+        # train batches of at most 32 at gradcheck's TOY shape, and the tests
+        # here at the smaller one: each keeps the bits of a whole-batch step
+        assert len(dn._eval_groups(cfg, 32, 32, taped=True)) == 1
 
 
 class TestCheckpointIO:
