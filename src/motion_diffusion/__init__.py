@@ -4,10 +4,10 @@ The package is organized as a small library plus a command-line
 pipeline:
 
 - numerics: dense float64 arrays with a reverse-mode gradient tape
-- motion_data: sequences, windowing, normalization, MSEQ1 file I/O
+- motion_data: sequences, windowing, normalization, MSEQ2 file I/O
 - diffusion: noise schedule, forward/reverse process, loss, samplers
 - denoiser: series and parallel spatio-temporal attention predictors
-- training: Adam loop with CKPT1 checkpointing and bit-exact resume
+- training: Adam loop with CKPT2 checkpointing and bit-exact resume
 - metrics: APD, displacement errors, euler-angle MSE, CSV reports
 - gradcheck: finite-difference verification of every gradient path
 - cli: `motiondiff` subcommands wiring the above together

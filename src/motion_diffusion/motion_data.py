@@ -1,16 +1,19 @@
 """Pose-sequence data model: synthetic motion, windowing, normalization, file I/O.
 
 A motion sequence is an F x D matrix of pose vectors (D = 3n for n
-joints), tagged with its frame rate and representation.  On disk it is an MSEQ1
-file: one JSON header line, then the frames as little-endian float64,
-row-major.  `read_header_file` reads that container for CKPT1 too, and
-`write_file` writes every file the program writes.
+joints), tagged with its frame rate and representation.  On disk it is an MSEQ2
+file in the container that CKPT2 checkpoints share: one sorted JSON header
+line, the payload (here the frames as little-endian float64, row-major), then
+the CRC32 of every byte before it as 4 little-endian bytes.
+`write_header_file` writes that container and `read_header_file` reads and
+checks it; `write_file` writes every file the program writes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,14 +227,14 @@ def fit_normalizer(train_tasks: list[PredictionTask]) -> Normalizer:
 
 
 # ---------------------------------------------------------------------------
-# MSEQ1 file format
+# MSEQ2 file format
 # ---------------------------------------------------------------------------
 
-MSEQ_VERSION = 1
+MSEQ_VERSION = 2
 
 
 def save_motion_file(path: str, seq: MotionSequence) -> None:
-    """Write one sequence: JSON header line + little-endian float64 frames."""
+    """Write one sequence: its header, then its frames as little-endian float64."""
     header = {
         "version": MSEQ_VERSION,
         "F": seq.n_frames,
@@ -240,12 +243,12 @@ def save_motion_file(path: str, seq: MotionSequence) -> None:
         "repr": seq.representation,
         "label": seq.action_label,
     }
-    write_file(path, (json.dumps(header).encode("ascii") + b"\n",
-                      np.ascontiguousarray(seq.frames, dtype="<f8").tobytes()))
+    frames = np.ascontiguousarray(seq.frames, dtype="<f8")
+    write_header_file(path, header, [frames.tobytes()])
 
 
 def load_motion_file(path: str) -> MotionSequence:
-    """Read an MSEQ1 file; a malformed file raises ParseError naming it, with the offset."""
+    """Read an MSEQ2 file; a malformed file raises ParseError naming it, with the offset."""
     header, payload, start = read_header_file(path, "motion file header", MSEQ_VERSION)
     n_frames = check_count(header.get("F"), 1, f"{path}: header F", ParseError)
     dim = check_count(header.get("D"), 3, f"{path}: header D", ParseError)
@@ -285,6 +288,17 @@ def write_file(path, parts) -> None:
         fh.writelines(parts)
 
 
+def write_header_file(path, header: dict, payload: list[bytes]) -> None:
+    """Write the container of MSEQ2 and CKPT2 files: `header` as one sorted JSON
+    line, the `payload` chunks, then the CRC32 of every byte before it as 4
+    little-endian bytes."""
+    parts = [json.dumps(header, sort_keys=True).encode("ascii") + b"\n", *payload]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_file(path, [*parts, crc.to_bytes(4, "little")])
+
+
 def json_parts(obj, **fmt):
     """`obj` as JSON and a newline, encoded chunk by chunk as `json.dump` writes it."""
     yield from (chunk.encode("utf-8") for chunk in json.JSONEncoder(**fmt).iterencode(obj))
@@ -309,9 +323,10 @@ def _parse_json(raw: bytes, what: str):
 
 
 def read_header_file(path, what: str, version: int) -> tuple[dict, bytes, int]:
-    """Read the container of MSEQ1 and CKPT1 files: a JSON object line whose
-    `version` is the int `version` (never True or 1.0), then the payload.
-    Returns (header, payload, payload offset); else a ParseError naming `path`."""
+    """Read the container of MSEQ2 and CKPT2 files: a JSON object line whose
+    `version` is the int `version` (never True or 1.0), the payload, and the
+    CRC32 of every byte before it.  Returns (header, payload, payload offset);
+    else a ParseError naming `path`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     named = f"{path}: {what}"
@@ -324,7 +339,12 @@ def read_header_file(path, what: str, version: int) -> tuple[dict, bytes, int]:
     found = header.get("version")
     if type(found) is not int or found != version:
         raise ParseError(f"{path}: unsupported {what} version {found!r}", offset=0)
-    return header, blob[newline + 1:], newline + 1
+    end = len(blob) - 4
+    if end <= newline:
+        raise ParseError(f"{path}: ends before its 4-byte checksum", offset=len(blob))
+    if zlib.crc32(memoryview(blob)[:end]) != int.from_bytes(blob[end:], "little"):
+        raise ParseError(f"{path}: checksum does not match the file's bytes", offset=end)
+    return header, blob[newline + 1:end], newline + 1
 
 
 def read_json(path, what: str):

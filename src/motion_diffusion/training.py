@@ -5,19 +5,18 @@ per-item diffusion step k, the per-item noise draw), so a fixed seed
 reproduces the loss trajectory bit for bit, and a checkpoint reload
 continues it bit for bit.
 
-Checkpoint files use CKPT1, the container of MSEQ1 motion files, read by
-`motion_data.read_header_file`: one JSON manifest line (version, configs,
-iteration, RNG state, tensor index with per-tensor name/shape/offset/CRC32),
-then the concatenated little-endian float64 tensor payload.
+Checkpoint files use CKPT2, the container of MSEQ2 motion files
+(`motion_data.write_header_file` and `read_header_file`): one JSON manifest
+line (version, configs, iteration, RNG state), the tensors as little-endian
+float64 in the order `_checkpoint_layout` derives from the denoiser config,
+then the CRC32 of every byte before it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import zlib
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,10 +26,9 @@ from .denoiser import (DenoiserConfig, DenoiserModel, _eval_groups, init_denoise
 from .diffusion import NoiseSchedule, batch_noise_loss, build_schedule
 from .errors import (ConfigError, ContractError, DimensionError, IntegrityError,
                      NumericsError, ParseError, TrainingDivergedError, check_count)
-from .motion_data import (Normalizer, PredictionTask, json_parts, read_header_file,
-                          write_file)
+from .motion_data import Normalizer, PredictionTask, read_header_file, write_header_file
 
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 DIVERGE_LIMIT = 1e6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -250,56 +248,46 @@ def train(tasks: list[PredictionTask], den_cfg: DenoiserConfig,
 
 
 # ---------------------------------------------------------------------------
-# CKPT1 persistence
+# CKPT2 persistence
 # ---------------------------------------------------------------------------
 
 
-def _tensor_items(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    groups = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
-    items = [(f"{group}.{k}", arrays[k]) for group, arrays in groups.items()
-             for k in param_shapes(ckpt.denoiser_config)]
-    return items + [("norm.mean", ckpt.normalizer.mean), ("norm.std", ckpt.normalizer.std)]
+def _checkpoint_layout(cfg: DenoiserConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The (key, shape) of every checkpoint tensor, in file order, from the config."""
+    shapes = param_shapes(cfg)
+    return [(f"{group}.{name}", shape) for group in ("param", "adam_m", "adam_v")
+            for name, shape in shapes.items()] + [("norm.mean", (cfg.dim,)),
+                                                  ("norm.std", (cfg.dim,))]
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    index = []
+    """Write a CKPT2 file; a tensor missing or not of its layout shape is a
+    ContractError naming it."""
+    groups = {"param": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v,
+              "norm": {"mean": ckpt.normalizer.mean, "std": ckpt.normalizer.std}}
     chunks = []
-    offset = 0
-    for name, arr in _tensor_items(ckpt):
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        index.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                      "crc32": zlib.crc32(raw)})
-        chunks.append(raw)
-        offset += len(raw)
+    for key, shape in _checkpoint_layout(ckpt.denoiser_config):
+        group, name = key.split(".", 1)
+        arr = groups[group].get(name)
+        if arr is None or np.shape(arr) != shape:
+            found = "missing" if arr is None else f"of shape {np.shape(arr)}"
+            raise ContractError(
+                f"checkpoint tensor {key!r} is {found}, not of shape {shape}")
+        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     manifest = {
         "version": CKPT_VERSION,
         "denoiser_config": asdict(ckpt.denoiser_config),
         "schedule": {"k_steps": ckpt.schedule.k_steps,
                      "beta_min": ckpt.schedule.beta_min,
                      "beta_max": ckpt.schedule.beta_max},
-        "normalizer": True,  # files without one load with the identity
         "iteration": ckpt.iteration,
         "rng_state": ckpt.rng_state,
-        "tensors": index,
     }
-    write_file(path, itertools.chain(json_parts(manifest, sort_keys=True), chunks))
-
-
-def _tensor_entry(entry) -> tuple[str, tuple[int, ...], int, int]:
-    """Validate one tensor index entry: (name, shape, offset, crc32)."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-        raise IntegrityError(f"malformed checkpoint tensor entry {entry!r}")
-    name = entry["name"]
-    if not isinstance(entry.get("shape"), list):
-        raise IntegrityError(f"tensor {name!r} has no shape list")
-    def count(value, what: str) -> int:
-        return check_count(value, 0, f"tensor {name!r} {what}", IntegrityError)
-    return (name, tuple(count(n, "extent") for n in entry["shape"]),
-            count(entry.get("offset"), "offset"), count(entry.get("crc32"), "crc32"))
+    write_header_file(path, manifest, chunks)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a CKPT1 file; any malformed manifest or payload, a manifest line that
+    """Read a CKPT2 file; any malformed manifest or payload, a manifest line that
     `read_header_file` rejects included, is an IntegrityError naming the file."""
     try:
         return _decode_checkpoint(*read_header_file(path, "checkpoint manifest",
@@ -314,52 +302,39 @@ def _decode_checkpoint(manifest: dict, payload: bytes) -> Checkpoint:
     try:
         den_cfg = DenoiserConfig(**manifest["denoiser_config"])
         sched_k = manifest["schedule"]["k_steps"]
-        entries = manifest["tensors"]
-        has_normalizer = manifest["normalizer"]
         iteration = check_count(manifest["iteration"], 0, "iteration", ValueError)
         rng_state = manifest["rng_state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint manifest is malformed: {exc!r}") from exc
-    if sched_k != den_cfg.k_steps:  # built below, once step_emb (K+1, c) bounds K
+    if sched_k != den_cfg.k_steps:  # built below, once the payload length bounds K
         raise IntegrityError(f"checkpoint schedule K={sched_k!r} != "
                              f"denoiser k_steps={den_cfg.k_steps}")
     try:
         np.random.PCG64().state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint rng_state is not a PCG64 state: {exc!r}") from exc
-    if not isinstance(entries, list):
-        raise IntegrityError("checkpoint tensor index is not a list")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape, offset, crc in map(_tensor_entry, entries):
-        size = math.prod(shape) * 8
-        raw = payload[offset:offset + size]
-        if len(raw) != size:
-            raise IntegrityError(f"tensor {name!r} is truncated")
-        if zlib.crc32(raw) != crc:
-            raise IntegrityError(f"tensor {name!r} failed its checksum")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if not has_normalizer:  # a file saved before every checkpoint carried one
-        tensors["norm.mean"], tensors["norm.std"] = astuple(Normalizer.identity(den_cfg.dim))
-    # every tensor a Checkpoint keeps must be there, of its shape, and finite
-    expected = param_shapes(den_cfg)
-    shapes = {f"{group}.{name}": shape for group in ("param", "adam_m", "adam_v")
-              for name, shape in expected.items()}
-    shapes["norm.mean"] = shapes["norm.std"] = (den_cfg.dim,)
-    for key, shape in shapes.items():
-        what = f"normalizer tensor {key!r}" if key.startswith("norm.") else f"tensor {key!r}"
-        if key not in tensors:
-            raise IntegrityError(f"checkpoint is missing {what}")
-        if tensors[key].shape != shape:
-            raise IntegrityError(f"{what} has shape {tensors[key].shape}, not {shape}")
+    layout = _checkpoint_layout(den_cfg)
+    expected = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(payload) != expected:  # before any extent reaches an allocation
+        raise IntegrityError(f"checkpoint payload has {len(payload)} bytes, "
+                             f"its config's layout {expected}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    tensors, start = {}, 0
+    for key, shape in layout:
+        size = math.prod(shape)
+        tensors[key] = flat[start:start + size].reshape(shape).copy()
+        start += size
         if not np.all(np.isfinite(tensors[key])):
-            raise IntegrityError(f"{what} contains non-finite values")
+            what = "normalizer tensor" if key.startswith("norm.") else "tensor"
+            raise IntegrityError(f"{what} {key!r} contains non-finite values")
     if not np.all(tensors["norm.std"] > 0):
         raise IntegrityError("normalizer needs a positive std")
     try:
         sched = build_schedule(**manifest["schedule"])
     except (TypeError, ValueError) as exc:
         raise IntegrityError(f"checkpoint schedule is malformed: {exc!r}") from exc
-    params, m_mom, v_mom = ({name: tensors[f"{group}.{name}"] for name in expected}
+    names = param_shapes(den_cfg)
+    params, m_mom, v_mom = ({name: tensors[f"{group}.{name}"] for name in names}
                             for group in ("param", "adam_m", "adam_v"))
     return Checkpoint(denoiser_config=den_cfg, schedule=sched,
                       normalizer=Normalizer(tensors["norm.mean"], tensors["norm.std"]),

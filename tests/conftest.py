@@ -5,7 +5,9 @@ session and is shared by the training tests, the sampling tests, and
 the acceptance suite.
 """
 
+import json
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,25 @@ TOY = dict(model_dim=32, n_heads=2, t_obs=4, l_pred=5, dim=6, k_steps=5)
 OVERFIT_SCHED = (5, 0.05, 0.333)
 OVERFIT_TRAIN = dict(batch_size=32, iterations=2000, lr=3e-3, seed=1,
                      checkpoint_every=1000)
+
+
+def sealed(body: bytes) -> bytes:
+    """`body` and the trailer that ends every .mseq and checkpoint file: the
+    CRC32 of its bytes, 4 bytes little-endian.  A test that hand-builds or
+    edits such a file seals it, so the load reaches the check the test names."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def edit_header(path, mutate) -> None:
+    """Rewrite the header line of the sealed file `path` as `mutate` leaves it,
+    keep its payload, and seal it again."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    nl = blob.index(b"\n")
+    header = json.loads(blob[:nl])
+    mutate(header)
+    with open(path, "wb") as fh:
+        fh.write(sealed(json.dumps(header, sort_keys=True).encode() + blob[nl:-4]))
 
 
 def make_overfit_tasks() -> tuple[list, md.Normalizer]:

@@ -18,6 +18,7 @@ import pytest
 import motion_diffusion as md
 import motion_diffusion.cli as cli
 import motion_diffusion.numerics as nm
+from conftest import edit_header, sealed
 from motion_diffusion.cli import LOG_EVERY, main, parse_config_file
 
 # window/model settings shared by every pipeline invocation in this file;
@@ -195,13 +196,20 @@ class TestTrainCmd:
     @pytest.mark.parametrize("shape", [(1,), (3,)], ids=["broadcastable", "not"])
     def test_resume_with_misshaped_moment_exits_1(self, tmp_path, dataset, checkpoint,
                                                   capsys, shape):
+        # the writer refuses the shape, so splice it into a sealed payload:
+        # adam_m.in_w, (16,), follows every parameter in the file
+        blob = open(checkpoint, "rb").read()
         ckpt = md.load_checkpoint(checkpoint)
-        ckpt.adam_m["in_w"] = np.zeros(shape)
+        start = (blob.index(b"\n") + 1
+                 + 8 * sum(a.size for a in ckpt.params.values()))
         path = tmp_path / "bad.ckpt"
-        md.save_checkpoint(ckpt, path)
+        path.write_bytes(sealed(blob[:start] + np.zeros(shape).tobytes()
+                                + blob[start + 16 * 8:-4]))
         assert main(["train", "--out", str(tmp_path / "r"), "--data", dataset,
                      "--iterations", "33", *TRAIN_ARGS, "--resume", str(path)]) == 1
-        assert "adam_m.in_w" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "payload has" in err
+        assert not (tmp_path / "r").exists()
 
     def test_resume_from_a_non_finite_checkpoint_exits_1(self, tmp_path, dataset,
                                                          checkpoint, capsys):
@@ -258,27 +266,6 @@ class TestTrainCmd:
                      "--resume", checkpoint]) == 2
         assert "past the target" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
-
-    def test_resume_without_normalizer_reaches_target(self, tmp_path, dataset,
-                                                      checkpoint):
-        # a file saved before every checkpoint carried a normalizer
-        blob = open(checkpoint, "rb").read()
-        nl = blob.index(b"\n")
-        manifest = json.loads(blob[:nl])
-        manifest["normalizer"] = False
-        manifest["tensors"] = [e for e in manifest["tensors"]
-                               if not e["name"].startswith("norm.")]
-        path = tmp_path / "bare.ckpt"
-        path.write_bytes(json.dumps(manifest, sort_keys=True).encode() + blob[nl:])
-        out = tmp_path / "r"
-        assert main(["train", "--out", str(out), "--data", dataset,
-                     "--iterations", "33", "--seed", "4", *TRAIN_ARGS,
-                     "--resume", str(path)]) == 0
-        ckpt = md.load_checkpoint(os.path.join(only_run_dir(out, "train"),
-                                               "checkpoint.ckpt"))
-        assert ckpt.iteration == 33
-        np.testing.assert_array_equal(ckpt.normalizer.mean, np.zeros(6))
-        np.testing.assert_array_equal(ckpt.normalizer.std, np.ones(6))
 
     def test_resume_records_no_seed(self, tmp_path, dataset, checkpoint):
         # the stream continues from the checkpoint whatever --seed says
@@ -468,14 +455,29 @@ class TestSampleCmd:
                      *WINDOW_ARGS]) == 1
 
 
+    @pytest.mark.parametrize("edit", [
+        {"denoiser_config": {"dim": 10**12}},
+        {"denoiser_config": {"model_dim": 10**12}},
+        {"denoiser_config": {"k_steps": 10**12}, "schedule": {"k_steps": 10**12}},
+    ], ids=["dim", "model-dim", "both-k-steps"])
+    def test_huge_extent_exits_1_before_it_allocates(self, tmp_path, checkpoint,
+                                                     dataset, capsys, edit):
+        # the payload length is checked against the config's layout first, so
+        # no extent reaches an array or a schedule table
+        bad = shutil.copyfile(checkpoint, tmp_path / "huge.ckpt")
+        edit_header(bad, lambda manifest: [manifest[group].update(values)
+                                           for group, values in edit.items()])
+        assert main(["sample", "--out", str(tmp_path / "o"), "--checkpoint", str(bad),
+                     "--data", dataset, *WINDOW_ARGS]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "payload has" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_checkpoint_manifest_exits_1(self, tmp_path, checkpoint,
                                                    dataset):
-        blob = open(checkpoint, "rb").read()
-        nl = blob.index(b"\n")
-        manifest = json.loads(blob[:nl])
-        del manifest["tensors"]
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        bad = shutil.copyfile(checkpoint, tmp_path / "bad.ckpt")
+        edit_header(bad, lambda manifest: manifest.pop("iteration"))
         assert main(["sample", "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad), "--data", dataset,
                      *WINDOW_ARGS]) == 1
@@ -483,17 +485,15 @@ class TestSampleCmd:
     @pytest.mark.parametrize("group, key, value", [
         ("denoiser_config", "model_dim", 16.0), ("denoiser_config", "model_dim", True),
         ("schedule", "k_steps", 3.0), ("schedule", "k_steps", True),
-        (None, "iteration", 30.0), (None, "version", 1.0), (None, "version", True)])
+        (None, "iteration", 30.0), (None, "version", 1.0), (None, "version", True),
+        (None, "version", 2.0)])
     def test_checkpoint_count_of_another_kind_exits_1(self, tmp_path, checkpoint,
                                                       dataset, capsys, group, key,
                                                       value):
         # a float or a boolean, even one equal to the count, is no count
-        blob = open(checkpoint, "rb").read()
-        nl = blob.index(b"\n")
-        manifest = json.loads(blob[:nl])
-        (manifest[group] if group else manifest)[key] = value
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        bad = shutil.copyfile(checkpoint, tmp_path / "bad.ckpt")
+        edit_header(bad, lambda manifest: (manifest[group] if group else manifest)
+                    .__setitem__(key, value))
         assert main(["sample", "--out", str(tmp_path / "o"),
                      "--checkpoint", str(bad), "--data", dataset,
                      *WINDOW_ARGS]) == 1
@@ -515,12 +515,8 @@ class TestSampleCmd:
                                                        dataset, capsys, k_steps):
         # fewer steps would sample silently with a truncated chain, more
         # would fail mid-chain; the checkpoint is rejected when it loads
-        blob = open(checkpoint, "rb").read()
-        nl = blob.index(b"\n")
-        manifest = json.loads(blob[:nl])
-        manifest["schedule"]["k_steps"] = k_steps
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(json.dumps(manifest).encode() + blob[nl:])
+        bad = shutil.copyfile(checkpoint, tmp_path / "bad.ckpt")
+        edit_header(bad, lambda manifest: manifest["schedule"].update(k_steps=k_steps))
         for mode in ("stochastic", "deterministic"):
             assert main(["sample", "--out", str(tmp_path / mode),
                          "--checkpoint", str(bad), "--data", dataset,
@@ -1114,24 +1110,24 @@ class TestExportCmd:
 
     @pytest.mark.parametrize("field, value", [
         ("F", 2.7), ("F", "2"), ("fps", "25"), ("fps", True), ("version", 1.0),
-        ("version", True)])
+        ("version", True), ("version", 2.0)])
     def test_header_field_of_another_kind_exits_2(self, tmp_path, capsys, field,
                                                   value):
-        header = {"version": 1, "F": 2, "D": 3, "fps": 25.0, "repr": "euler",
+        header = {"version": 2, "F": 2, "D": 3, "fps": 25.0, "repr": "euler",
                   "label": None, field: value}
         src = tmp_path / "motion.mseq"
-        src.write_bytes(json.dumps(header).encode() + b"\n" + bytes(2 * 3 * 8))
+        src.write_bytes(sealed(json.dumps(header).encode() + b"\n" + bytes(2 * 3 * 8)))
         assert main(["export", "--out", str(tmp_path / "o"), "--input", str(src)]) == 2
         assert f"header {field}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_header_integer_past_the_digit_limit_exits_2(self, tmp_path):
         # json.loads raises a plain ValueError for it, not a JSONDecodeError
-        header = json.dumps({"version": 1, "F": 0, "D": 3, "fps": 25.0,
+        header = json.dumps({"version": 2, "F": 0, "D": 3, "fps": 25.0,
                              "repr": "euler", "label": None})
         src = tmp_path / "motion.mseq"
-        src.write_bytes(header.replace('"F": 0', f'"F": {LONG_INT}').encode()
-                        + b"\n" + bytes(3 * 8))
+        src.write_bytes(sealed(header.replace('"F": 0', f'"F": {LONG_INT}').encode()
+                               + b"\n" + bytes(3 * 8)))
         assert main(["export", "--out", str(tmp_path / "o"), "--input", str(src)]) == 2
         assert not (tmp_path / "o").exists()
 
@@ -1142,14 +1138,14 @@ DEEP_NESTING = b"[" * 100_000
 
 def _nested_mseq(tmp_path, dataset, checkpoint):
     bad = tmp_path / "motion.mseq"
-    bad.write_bytes(DEEP_NESTING + b"\n" + bytes(2 * 3 * 8))
+    bad.write_bytes(sealed(DEEP_NESTING + b"\n" + bytes(2 * 3 * 8)))
     return ["export", "--input", str(bad)]
 
 
 def _nested_checkpoint(tmp_path, dataset, checkpoint):
     blob = open(checkpoint, "rb").read()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(DEEP_NESTING + blob[blob.index(b"\n"):])
+    bad.write_bytes(sealed(DEEP_NESTING + blob[blob.index(b"\n"):-4]))
     return ["sample", "--checkpoint", str(bad), "--data", dataset, *WINDOW_ARGS]
 
 

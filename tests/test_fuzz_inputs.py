@@ -5,7 +5,10 @@ One TOY synth → train → sample run is built per module.  Each example
 damages a copy of one of its files (1 to 4 flipped bytes, or a
 truncation) and runs the command that reads it in-process: no exception
 may escape `cli.main`, and an exit of 2, a rejected input, must leave no
-run directory.  Whole-value swaps of typed fields are covered in
+run directory.  A damaged `.mseq` or checkpoint must fail its CRC32
+trailer, so those two targets never exit 0; a sweep flips bit 0 of every
+byte of a `.mseq` and of a checkpoint's header line and expects each load
+to fail.  Whole-value swaps of typed fields are covered in
 test_typed_fields.py; this covers damage below the JSON value level.
 A `train` run with an extreme flag value that exits 0 or 1 must leave a
 checkpoint that loads.
@@ -23,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motion_diffusion.cli import main
+from motion_diffusion.errors import IntegrityError, ParseError
+from motion_diffusion.motion_data import load_motion_file
 from motion_diffusion.training import load_checkpoint
 
 WINDOW_ARGS = ["--t-obs", "4", "--l-pred", "5", "--stride", "6"]
@@ -63,19 +68,25 @@ def run(tmp_path_factory):
 
 
 def _damage(blob: bytes, data) -> bytes:
-    """`blob` truncated, or with 1 to 4 of its bytes flipped by a nonzero mask."""
+    """`blob` truncated, or with 1 to 4 distinct bytes flipped by a nonzero mask:
+    never `blob` itself."""
     position = st.integers(0, len(blob) - 1)
     if data.draw(st.booleans(), label="truncate"):
         return blob[:data.draw(position, label="length")]
     out = bytearray(blob)
-    flips = st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=4)
+    flips = st.lists(st.tuples(position, st.integers(1, 255)), min_size=1, max_size=4,
+                     unique_by=lambda flip: flip[0])
     for i, mask in data.draw(flips, label="flips"):
         out[i] ^= mask
     return bytes(out)
 
 
-@pytest.mark.parametrize("target", ["mseq-export", "checkpoint-sample",
-                                    "dataset-manifest-train", "samples-manifest-eval"])
+# the exit codes a damaged copy may end in: the two sealed containers must fail
+EXITS = {"mseq-export": (1, 2), "checkpoint-sample": (1, 2),
+         "dataset-manifest-train": (0, 1, 2), "samples-manifest-eval": (0, 1, 2)}
+
+
+@pytest.mark.parametrize("target", sorted(EXITS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_byte_damage_never_escapes_main(run, target, data):
@@ -94,13 +105,55 @@ def test_byte_damage_never_escapes_main(run, target, data):
         with contextlib.redirect_stderr(io.StringIO()) as stderr:
             code = main(argv(damaged) + ["--out", out])
         err = stderr.getvalue()
-        assert code in (0, 1, 2), err
+        assert code in EXITS[target], err
         if code:
             assert err.startswith("error:"), err
         if code == 2:
             assert not os.path.exists(out), err
     finally:
         shutil.rmtree(work)
+
+
+def _flip_each_byte(tmp_path, original, positions, load, error):
+    """Load a copy of `original` with bit 0 of each byte in `positions`
+    flipped, one at a time; every load must raise `error`."""
+    with open(original, "rb") as fh:
+        blob = fh.read()
+    damaged = tmp_path / os.path.basename(original)
+    for i in positions:
+        out = bytearray(blob)
+        out[i] ^= 1
+        damaged.write_bytes(bytes(out))
+        with pytest.raises(error):
+            load(damaged)
+
+
+def test_every_flipped_mseq_bit_is_caught(run, tmp_path):
+    original = run[1]["mseq-export"][0]
+    _flip_each_byte(tmp_path, original, range(os.path.getsize(original)),
+                    load_motion_file, ParseError)
+
+
+def test_every_flipped_checkpoint_header_bit_is_caught(run, tmp_path):
+    original = run[1]["checkpoint-sample"][0]
+    with open(original, "rb") as fh:
+        header_line = fh.read().index(b"\n") + 1
+    _flip_each_byte(tmp_path, original, range(header_line), load_checkpoint,
+                    IntegrityError)
+
+
+def test_another_schedule_in_the_header_exits_1(run, tmp_path):
+    # one changed digit once sampled with the other schedule and exited 0
+    original, argv = run[1]["checkpoint-sample"]
+    with open(original, "rb") as fh:
+        blob = fh.read()
+    assert blob.count(b'"beta_max": 0.333') == 1
+    damaged = tmp_path / "other_beta.ckpt"
+    damaged.write_bytes(blob.replace(b'"beta_max": 0.333', b'"beta_max": 0.393'))
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        code = main(argv(str(damaged)) + ["--out", str(tmp_path / "out")])
+    assert code == 1, stderr.getvalue()
+    assert "checksum" in stderr.getvalue()
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e308", "0", "-0.0"])

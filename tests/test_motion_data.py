@@ -1,4 +1,4 @@
-"""Data model, synthetic generator, windowing, normalization, MSEQ1 I/O."""
+"""Data model, synthetic generator, windowing, normalization, MSEQ2 I/O."""
 
 import ast
 import json
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import motion_diffusion.motion_data as mdata
+from conftest import sealed
 from motion_diffusion.errors import ConfigError, ContractError, ParseError
 
 
@@ -180,38 +181,67 @@ class TestMotionFileIO:
         assert (back.fps, back.representation, back.action_label) == (
             30.0, "xyz", "walk")
 
+    def test_file_is_a_sorted_header_line_the_frames_and_their_crc(self, tmp_path, rng):
+        seq = mdata.MotionSequence(rng.normal(size=(3, 6)), fps=25.0, action_label="wave")
+        path = tmp_path / "seq.mseq"
+        mdata.save_motion_file(path, seq)
+        header = {"version": 2, "F": 3, "D": 6, "fps": 25.0, "repr": "euler",
+                  "label": "wave"}
+        assert path.read_bytes() == sealed(json.dumps(header, sort_keys=True).encode()
+                                           + b"\n" + seq.frames.astype("<f8").tobytes())
+
     def test_truncated_payload(self, tmp_path, rng):
         seq = mdata.MotionSequence(rng.normal(size=(4, 3)), fps=10.0)
         path = tmp_path / "seq.mseq"
         mdata.save_motion_file(path, seq)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(ParseError) as err:
+        body = path.read_bytes()[:-4]
+        path.write_bytes(body[:-8])
+        with pytest.raises(ParseError, match="checksum") as err:
             mdata.load_motion_file(path)
-        assert err.value.offset == len(blob[:-8])  # end of the short payload
+        assert err.value.offset == len(body) - 12  # where the trailer would start
+        path.write_bytes(sealed(body[:-8]))
+        with pytest.raises(ParseError, match="payload has") as err:
+            mdata.load_motion_file(path)
+        assert err.value.offset == len(body[:-8])  # end of the short payload
+
+    @pytest.mark.parametrize("tail", [b"", b"\x00" * 3], ids=["none", "short"])
+    def test_file_ending_before_its_trailer(self, tmp_path, tail):
+        path = tmp_path / "bad.mseq"
+        path.write_bytes(b'{"version": 2}\n' + tail)
+        with pytest.raises(ParseError, match="4-byte checksum"):
+            mdata.load_motion_file(path)
+
+    def test_mseq1_file_is_an_unsupported_version(self, tmp_path):
+        # the old layout: no trailer, refused by its version before the checksum
+        header = {"version": 1, "F": 1, "D": 3, "fps": 25.0, "repr": "euler",
+                  "label": None}
+        path = tmp_path / "old.mseq"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 24)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: .* version 1"):
+            mdata.load_motion_file(path)
 
     def test_bad_dimension_rejected(self, tmp_path):
-        header = {"version": 1, "F": 1, "D": 10, "fps": 25.0,
+        header = {"version": 2, "F": 1, "D": 10, "fps": 25.0,
                   "repr": "euler", "label": None}
         path = tmp_path / "bad.mseq"
-        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 80)
+        path.write_bytes(sealed(json.dumps(header).encode() + b"\n" + b"\x00" * 80))
         with pytest.raises(ParseError, match="multiple of 3"):
             mdata.load_motion_file(path)
 
     def test_missing_newline(self, tmp_path):
         path = tmp_path / "bad.mseq"
-        path.write_bytes(b'{"version": 1}')
+        path.write_bytes(b'{"version": 2}')
         with pytest.raises(ParseError) as err:
             mdata.load_motion_file(path)
         assert err.value.offset == 14
 
     def test_non_finite_payload_offset(self, tmp_path):
-        header = {"version": 1, "F": 1, "D": 3, "fps": 25.0,
+        header = {"version": 2, "F": 1, "D": 3, "fps": 25.0,
                   "repr": "euler", "label": None}
         head = json.dumps(header).encode() + b"\n"
         payload = np.array([0.0, np.inf, 0.0]).astype("<f8").tobytes()
         path = tmp_path / "bad.mseq"
-        path.write_bytes(head + payload)
+        path.write_bytes(sealed(head + payload))
         with pytest.raises(ParseError) as err:
             mdata.load_motion_file(path)
         assert err.value.offset == len(head) + 8
@@ -219,16 +249,16 @@ class TestMotionFileIO:
     @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0])
     def test_bad_fps_rejected(self, tmp_path, fps):
         # an infinite frame rate used to reach the euler horizons as inf
-        header = {"version": 1, "F": 1, "D": 3, "fps": fps,
+        header = {"version": 2, "F": 1, "D": 3, "fps": fps,
                   "repr": "euler", "label": None}
         path = tmp_path / "bad.mseq"
-        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 24)
+        path.write_bytes(sealed(json.dumps(header).encode() + b"\n" + b"\x00" * 24))
         with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: header fps"):
             mdata.load_motion_file(path)
 
     @pytest.mark.parametrize("label", ["walk", "café"], ids=["ascii", "non-ascii"])
     def test_invalid_utf8_in_header_reports_its_offset(self, tmp_path, label):
-        head = json.dumps({"label": label, "version": 1, "F": 1, "D": 3, "fps": 25.0,
+        head = json.dumps({"label": label, "version": 2, "F": 1, "D": 3, "fps": 25.0,
                            "repr": "euler"}, ensure_ascii=False).encode()
         k = head.index(b'"fps"')
         path = tmp_path / "bad.mseq"
@@ -239,7 +269,7 @@ class TestMotionFileIO:
 
     def test_json_error_offset_counts_bytes(self, tmp_path):
         # the decoder reports a character position; a 2-byte character before it
-        head = b'{"label": "caf\xc3\xa9", "version": 1, }'
+        head = b'{"label": "caf\xc3\xa9", "version": 2, }'
         path = tmp_path / "bad.mseq"
         path.write_bytes(head + b"\n")
         with pytest.raises(ParseError, match="JSON") as err:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY
+from conftest import TOY, edit_header
 from motion_diffusion.cli import main
 
 WINDOW = ["--t-obs", str(TOY["t_obs"]), "--l-pred", str(TOY["l_pred"]),
@@ -20,14 +20,12 @@ WINDOW = ["--t-obs", str(TOY["t_obs"]), "--l-pred", str(TOY["l_pred"]),
 
 # field paths per file; an int is a list index
 FIELDS = {
-    "checkpoint": [("version",), ("iteration",), ("normalizer",), ("tensors",),
+    "checkpoint": [("version",), ("iteration",),
                    ("rng_state",), ("rng_state", "state", "state"),
                    *[("denoiser_config", k) for k in (
                        "variant", "model_dim", "n_heads", "t_obs", "l_pred", "dim",
                        "k_steps")],
-                   *[("schedule", k) for k in ("k_steps", "beta_min", "beta_max")],
-                   *[("tensors", 0, k) for k in ("name", "shape", "offset", "crc32")],
-                   ("tensors", 0, "shape", 0)],
+                   *[("schedule", k) for k in ("k_steps", "beta_min", "beta_max")]],
     "mseq": [("version",), ("F",), ("D",), ("fps",), ("repr",), ("label",)],
     "samples": [(k,) for k in ("mode", "n", "seed", "fps", "representation",
                                "l_pred", "dim", "tasks")]
@@ -77,26 +75,16 @@ def files(tmp_path_factory):
             "mseq": os.path.join(synth, "seq_000.mseq")}
 
 
-def edit_first_line(path, path_in_json, kind):
-    """Rewrite the JSON line that starts `path` with one field replaced."""
-    blob = open(path, "rb").read()
-    nl = blob.index(b"\n")
-    head = json.loads(blob[:nl])
-    replace_field(head, path_in_json, kind)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(head, sort_keys=True).encode() + blob[nl:])
-
-
 def run_with_replaced_field(files, scratch, target, path, kind):
     out = os.path.join(scratch, "out")
     if target == "checkpoint":
         bad = shutil.copy(files["checkpoint"], scratch)
-        edit_first_line(bad, path, kind)
+        edit_header(bad, lambda head: replace_field(head, path, kind))
         argv = ["sample", "--checkpoint", bad, "--data", files["data"], *WINDOW,
                 "--n", "2", "--limit", "1"]
     elif target == "mseq":
         bad = shutil.copy(files["mseq"], scratch)
-        edit_first_line(bad, path, kind)
+        edit_header(bad, lambda head: replace_field(head, path, kind))
         argv = ["export", "--input", bad]
     else:
         bad = shutil.copytree(files["samples"], os.path.join(scratch, "samples"))
