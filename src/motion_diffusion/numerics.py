@@ -19,8 +19,9 @@ skip recording.
 A loop may reuse its memory by running inside `buffer_pool()`:
 `diffusion._reverse_loop` does, and so does each `training.train` call.
 There the large temporaries of a forward (GEMM outputs, the norm's two
-arrays, attention scores and context, the row gathers, and `add`, `mul`
-and `take_rows` outputs) and of a backward (the 2-D `_matmul_backward_a`
+arrays, attention scores and context, the softmax's keys-major blocks
+and partial sums, the row gathers, and `add`, `mul` and `take_rows`
+outputs) and of a backward (the 2-D `_matmul_backward_a`
 product, the softmax, attention, layer-norm and `take_rows` gradients,
 and the sums `backward` accumulates) come from `_alloc`, which hands out
 arrays over raw buffers (`bytearray` slots) that the pool keeps.
@@ -35,6 +36,15 @@ when none is free, so the pool stays near the live set.  The ops write
 into the hand-outs with `out=`, which gives the bytes of a fresh array.
 The open pool is a context variable: each thread has its own, and a
 `buffer_pool()` opened inside it joins it.
+
+The one softmax, `_softmax_inplace`, serves `softmax_rows` and the
+attention.  It takes row-major rows, as the products that make and read
+them do (a BLAS product's bits depend on its operands' layout), but runs
+keys-major: it copies a block of rows into an (S, r) array and runs the
+max, subtract, exp, sum and divide as numpy calls over its contiguous
+r-long rows, then copies the block back.  The pullback's sum over keys runs
+the same way.  `_key_sum` repeats numpy's pairwise order for a row of S,
+so the result has the bytes of the row-wise softmax.
 
 `linear` fuses one GEMM-shaped step.  `attention_block` and `feedforward`
 fuse the two pre-norm blocks of an encoder layer, so a layer is two tape
@@ -67,12 +77,13 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericsError, check_count
 
 LAYER_NORM_EPS = 1e-5
+_KEY_BLOCK_BYTES = 1 << 19    # the most one keys-major block of softmax rows holds
 
 
 def _as_array(x) -> np.ndarray:
     """Coerce to a C-contiguous float64 array and verify finiteness."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError("non-finite value in array input")
     return arr
 
@@ -261,7 +272,7 @@ def _emit(name: str, out_data: np.ndarray, inputs: list[Tensor], pullback) -> Te
 
     `pullback(g)` returns one gradient per input, in the order of `inputs`.
     """
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise NumericsError(f"op '{name}' produced a non-finite value")
     tape = _find_tape(inputs)
     if tape is None:
@@ -282,17 +293,81 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(g)
 
 
+# Keys-major softmax kernels: a pass over an (S, r) block is a few numpy
+# calls over contiguous rows r long, where a pass over r rows of S keys is
+# one numpy inner loop per row.
+
+
+def _key_sum(x, out):
+    """The sums of the columns of x (S, R) into out (R,): the bytes of
+    `np.add.reduce` over the last axis of the row-major (R, S) array.
+
+    numpy sums a contiguous row of S in this order: below 8, in sequence;
+    up to 128, 8 lanes over blocks of 8, the lanes as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the tail one by one; above 128, the
+    two halves (the first a multiple of 8) each so, then added; all from
+    the reduction's initial +0.0, which turns a sum of -0.0 into +0.0.
+    `np.add.reduce` over axis 0 goes row by row from that +0.0, so it adds
+    the short sums and the tails; with one column the keys are one
+    contiguous row, and it is numpy's own row sum.
+    """
+    n = len(x)
+    if n < 8 or x.shape[1] == 1:
+        return np.add.reduce(x, axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _key_sum(x[:half], out)
+        out += _key_sum(x[half:], _alloc(out.shape))
+        return out
+    blocks = n - n % 8
+    lanes = x[:8]
+    if blocks > 8:
+        lanes = np.add(lanes, x[8:16], out=_alloc(lanes.shape))
+        for i in range(16, blocks, 8):
+            lanes += x[i:i + 8]
+    w = _alloc(lanes.shape)
+    np.add(lanes[0::2], lanes[1::2], out=w[4:])
+    np.add(w[4::2], w[5::2], out=w[2:4])
+    np.add(w[2], w[3], out=w[0])
+    tail = n - blocks
+    w[1:1 + tail] = x[blocks:]
+    return np.add.reduce(w[:1 + tail], axis=0, out=out)
+
+
+def _key_blocks(x2):
+    """(rows, e) per block of the rows of x2 (R, S): a slice of the rows and
+    their keys-major copy e (S, r), an `_alloc` array of at most
+    `_KEY_BLOCK_BYTES` (and at least one row)."""
+    n, step = x2.shape[1], max(1, _KEY_BLOCK_BYTES // (8 * x2.shape[1]))
+    for i in range(0, len(x2), step):
+        rows = slice(i, i + step)
+        e = _alloc((n, min(step, len(x2) - i)))
+        np.copyto(e, x2[rows].T)
+        yield rows, e
+
+
 def _softmax_inplace(x):
-    """Softmax over the last axis with max-subtraction, overwriting x."""
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of contiguous x, with max-subtraction, overwriting x.
+
+    The max, subtract, exp, sum and divide run keys-major, on each block's
+    copy, which is then copied back.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    for rows, e in _key_blocks(x2):
+        top = np.maximum.reduce(e, axis=0, out=_alloc(e.shape[1:]))
+        e -= top
+        np.exp(e, out=e)
+        e /= _key_sum(e, top)
+        np.copyto(x2[rows].T, e)
     return x
 
 
 def _heads(a, n_heads, axis):
     """(..., H, S, C/H) strided view of the head slices of a, whose S tokens lie on `axis`."""
-    return np.moveaxis(a.reshape(*a.shape[:-1], n_heads, -1), axis - 1, -2)
+    split = a.reshape(*a.shape[:-1], n_heads, -1)
+    axes = list(range(split.ndim))
+    axes.insert(-1, axes.pop(axis - 1))
+    return split.transpose(axes)
 
 
 # Forward cores shared by the public ops and the fused blocks, so each
@@ -325,9 +400,14 @@ def _normalize(x, gain, bias):
     the variance, y is scaled in place, and the affine part is written
     into the scratch, which becomes the output.
     """
-    y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=_alloc(x.shape))
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n                   # numpy's own `mean`: the sum, divided in place
+    y = np.subtract(x, mean, out=_alloc(x.shape))
     out = np.multiply(y, y, out=_alloc(x.shape))
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y *= inv
     np.multiply(y, gain, out=out)
     out += bias
@@ -362,7 +442,7 @@ def _attend(qd, kd, vd, n_heads, axis, name):
     hq, hk = heads(qd), heads(kd)
     scores = np.matmul(hq, np.swapaxes(hk, -1, -2), out=_alloc(hq.shape[:-1] + hk.shape[-2:-1]))
     scores *= factor
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericsError(f"op '{name}' produced a non-finite score")
     p = _softmax_inplace(scores)
     out = _alloc(qd.shape)
@@ -405,9 +485,12 @@ def _matmul_backward_b(g, a):
 
 
 def _softmax_backward(g, y):
-    """y * (g - sum(g * y)) over the last axis, in one full-size array."""
+    """y * (g - sum(g * y)) over the last axis, in one full-size array; the
+    sum runs keys-major, as the forward's does."""
     gy = np.multiply(g, y, out=_alloc(y.shape))
-    s = gy.sum(axis=-1, keepdims=True)
+    s = _alloc(y.shape[:-1] + (1,))
+    for rows, e in _key_blocks(gy.reshape(-1, y.shape[-1])):
+        _key_sum(e, s.reshape(-1)[rows])
     np.subtract(g, s, out=gy)
     gy *= y
     return gy
@@ -844,7 +927,7 @@ def feedforward(x, ln2_g, ln2_b, ff1_w, ff1_b, ff2_w, ff2_b) -> Tensor:
     hn, y, inv = _normalize(xd, gain.data, beta.data)
     hn2 = hn.reshape(-1, c)
     r2 = _gemm(hn2, w1.data, b1.data)
-    if not np.all(np.isfinite(r2)):
+    if not np.isfinite(r2).all():
         raise NumericsError("op 'feedforward' produced a non-finite hidden value")
     np.maximum(r2, 0.0, out=r2)
     out = _gemm(r2, w2.data, b2.data).reshape(xd.shape)

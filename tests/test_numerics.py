@@ -7,11 +7,13 @@ import inspect
 import math
 import os
 import re
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import motion_diffusion.numerics as nm
@@ -399,6 +401,133 @@ class TestFusedBlocksGiveTheComposedBytes:
         with pytest.raises(DimensionError):
             nm.feedforward(ff["x"], *(ff[n] for n in FEEDFORWARD_PARAMS[:4]),
                            np.ones((4, 8)), ff["ff2_b"])
+
+
+def reference_attention(q, k, v, g, n_heads, axis):
+    """(out, p, gq, gk, gv) of multi-head attention and its pullback of g,
+    row-major and one head at a time, in plain numpy.
+
+    Per head h: s = q_h k_h^T, s * factor, minus its row max, exp, over its
+    row sum: p; out_h = p v_h.  The pullback: gv_h = p^T g_h, gp = g_h v_h^T,
+    gs = (gp - sum(gp * p)) * p * factor, gq_h = gs k_h, gk_h = gs^T q_h.
+    p is (..., H, Sq, S), with the token axis taken out of the leading axes.
+    """
+    qm, km, vm, gm = (np.moveaxis(a, axis, -2) for a in (q, k, v, g))
+    hd = q.shape[-1] // n_heads
+    factor = 1.0 / np.sqrt(hd)
+    out, gq, gk, gv = (np.empty(a.shape) for a in (qm, qm, km, vm))
+    ps = []
+    for h in range(n_heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        qh, kh, vh, gh = (a[..., cols] for a in (qm, km, vm, gm))
+        s = (qh @ np.swapaxes(kh, -1, -2)) * factor
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out[..., cols] = p @ vh
+        gv[..., cols] = np.swapaxes(p, -1, -2) @ gh
+        gp = gh @ np.swapaxes(vh, -1, -2)
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * factor
+        gq[..., cols] = gs @ kh
+        gk[..., cols] = np.swapaxes(gs, -1, -2) @ qh
+        ps.append(p)
+    back = [np.moveaxis(a, -2, axis) for a in (out, gq, gk, gv)]
+    return back[0], np.stack(ps, axis=-3), *back[1:]
+
+
+def attention_core_case(seed, n_heads, hd, sq, s, temporal, b=2, d=2):
+    """(q, k, v, g, n_heads, axis) for the attention core, b batch items of
+    sq queries over s keys of n_heads * hd channels.
+
+    Tokens lie on axis -2, or, `temporal`, on axis -3 of d positions, with
+    q and k, v gathered from one array's rows as the temporal layer gathers
+    them.  g holds +0.0 and -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    c = n_heads * hd
+    if temporal:
+        x = rng.normal(size=(b * (s + sq), d, c))
+        keys = np.sort(rng.integers(0, len(x), size=(b, s)), axis=1)
+        queries = rng.integers(0, len(x), size=(b, sq))
+        q, k, v, axis = x[queries], x[keys], rng.normal(size=x.shape)[keys], -3
+    else:
+        q, k, v = (rng.normal(size=(b, n, c)) for n in (sq, s, s))
+        axis = -2
+    g = rng.normal(size=q.shape)
+    g[rng.random(q.shape) < 0.2] = 0.0
+    g[rng.random(q.shape) < 0.2] = -0.0
+    return q, k, v, g, n_heads, axis
+
+
+attention_core_cases = st.builds(
+    attention_core_case, st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+    st.sampled_from([1, 2, 3, 8, 16]), st.integers(1, 5),
+    st.one_of(st.integers(1, 20), st.integers(129, 140)), st.booleans(),
+    st.integers(1, 3), st.integers(1, 3))
+
+
+class TestAttentionCoreAgainstARowMajorReference:
+    """`_attend` and `_attention_backward` against `reference_attention`.
+
+    The output, the probabilities and the three gradients must have the
+    reference's bytes, so a change in the core's arithmetic (its sums'
+    order, its products' layout) shows here even where the fused block
+    and its composition would change together.
+    """
+
+    @given(attention_core_cases, st.sampled_from([None, 1, 3]))
+    @example(attention_core_case(0, 2, 1, 1, 1, temporal=False, b=1), None)
+    @example(attention_core_case(1, 4, 16, 1, 140, temporal=True), 3)
+    @example(attention_core_case(2, 3, 16, 5, 36, temporal=True), None)
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_and_gradients_have_the_reference_bytes(self, case, block_rows):
+        # block_rows, if not None, is how many score rows a keys-major block holds
+        q, k, v, g, n_heads, axis = case
+        block = nm._KEY_BLOCK_BYTES if block_rows is None else 8 * k.shape[axis] * block_rows
+        with mock.patch.object(nm, "_KEY_BLOCK_BYTES", block):
+            out, p, factor = nm._attend(q, k, v, n_heads, axis, "attention")
+            grads = nm._attention_backward(g, q, k, v, p, n_heads, factor, axis)
+        want = reference_attention(q, k, v, g, n_heads, axis)
+        for name, got, ref in zip(("out", "p", "gq", "gk", "gv"), (out, p, *grads), want):
+            assert got.shape == ref.shape, name
+            assert got.tobytes() == ref.tobytes(), name
+
+    def test_key_sum_is_numpys_row_sum(self):
+        # columns of mixed magnitudes, of +-0.0 only, of -0.0 only (numpy's
+        # row sum is then +0.0), and of values that cancel
+        rng = np.random.default_rng(0)
+        for n in range(1, 301):
+            x = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-8, 9, size=(n, 5))
+            x[:, 1] = rng.choice([0.0, -0.0], size=n)
+            x[:, 2] = -0.0
+            x[:, 3] = np.where(np.arange(n) % 2, 1.0, -1.0) * 3.0 ** -rng.integers(0, 3, size=n)
+            want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+            assert not np.signbit(want[2])
+            assert nm._key_sum(x, np.empty(5)).tobytes() == want.tobytes(), n
+            assert nm._key_sum(x[:, :1].copy(), np.empty(1)).tobytes() == want[:1].tobytes(), n
+
+    @pytest.mark.parametrize("q_shape, k_shape, axis", [
+        ((176, 15, 64), (176, 15, 64), -2),           # spatial: 16 observed + 8 x 20 frames
+        ((8, 20, 15, 64), (8, 36, 15, 64), -3)])      # temporal: 8 chains, 20 queries, 36 keys
+    def test_kernels_take_their_arrays_from_the_pool(self, rng, q_shape, k_shape, axis):
+        # at a CLI-default group shape (G = 8, 4 heads), a warmed pool serves
+        # the forward and backward: less than a quarter of one score array
+        # is allocated outside it (isfinite's booleans are an eighth)
+        q, g = rng.normal(size=q_shape), rng.normal(size=q_shape)
+        k, v = rng.normal(size=k_shape), rng.normal(size=k_shape)
+        with nm.buffer_pool():
+            def step():
+                out, p, factor = nm._attend(q, k, v, 4, axis, "attention")
+                nm._attention_backward(g, q, k, v, p, 4, factor, axis)
+                return p.nbytes
+
+            step()
+            tracemalloc.start()
+            try:
+                score_bytes = step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < score_bytes / 4, (peak, score_bytes)
 
 
 class TestLayerNorm:

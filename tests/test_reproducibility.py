@@ -68,6 +68,10 @@ def _check_training_runs(tasks, cfg, tr, sched):
          n=7, m=1, seed=0)
 @example(variant="parallel", model_dim=8, n_heads=2, t_obs=3, l_pred=1, dim=1,
          n=2, m=1, seed=0)
+@example(variant="parallel", model_dim=16, n_heads=1, t_obs=2, l_pred=1, dim=3,
+         n=7, m=2, seed=0)   # one temporal query row per chain, several chains
+@example(variant="series", model_dim=16, n_heads=2, t_obs=2, l_pred=2, dim=1,
+         n=7, m=3, seed=0)   # one spatial query row and key per frame, two heads
 @settings(max_examples=25, deadline=None)
 def test_reproducibility_contract_at_small_shapes(variant, model_dim, n_heads, t_obs,
                                                   l_pred, dim, n, m, seed):
